@@ -2,7 +2,7 @@
 
 Paper's shape: BACKLV achieves ~2× speedups over BACK at α = 0.01 —
 asserted on the machine-independent work counters, since the
-vectorized push backend gives pure-push BACK a NumPy constant-factor
+vectorized push kernel gives pure-push BACK a NumPy constant-factor
 wall-clock advantage a compiled implementation would not see (the
 "counters over clocks" rule of docs/BENCHMARKING.md).
 """

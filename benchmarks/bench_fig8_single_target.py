@@ -4,7 +4,7 @@ Paper's shape: BACKLV achieves 1–3× speedups over BACK; RBACK is
 no better than BACK (its per-push sampling overhead dominates).
 
 The BACK-vs-BACKLV comparison is asserted on the machine-independent
-work counters: with the vectorized push backend a pure-push method's
+work counters: with the vectorized push kernel a pure-push method's
 wall clock rides NumPy's ~100×-cheaper-per-op constant factor, which
 a compiled implementation would not see (the "counters over clocks"
 rule of docs/BENCHMARKING.md).  RBACK stays a wall-clock assertion —

@@ -55,7 +55,6 @@ from repro.core.pairwise import pair_ppr
 from repro.exceptions import ReproError
 from repro.core.config import VARIANCE_MODES
 from repro.graph.datasets import load_dataset, table1_statistics
-from repro.push.kernels import DEFAULT_PUSH_BACKEND, PUSH_BACKENDS
 
 __all__ = ["main", "build_parser", "render_statusz"]
 
@@ -103,11 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="processes for the forest Monte-Carlo stage "
                             "(0 = cpu count); estimates are identical "
                             "for every value at a fixed seed")
-    query.add_argument("--push-backend", choices=list(PUSH_BACKENDS),
-                       default=DEFAULT_PUSH_BACKEND,
-                       help="sweep kernel for the deterministic push "
-                            "stage; both backends print identical output "
-                            "at a fixed seed")
     query.add_argument("--variance-mode", choices=list(VARIANCE_MODES),
                        default="improved",
                        help="forest-stage variance reduction: "
@@ -151,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker processes for the sampling checks; "
                                 "the printed report is identical for every "
                                 "value at a fixed seed")
-    selfcheck.add_argument("--push-backend", choices=list(PUSH_BACKENDS),
-                           default=DEFAULT_PUSH_BACKEND,
-                           help="sweep kernel used by the query checks")
 
     serve = commands.add_parser(
         "serve", help="run the long-lived PPR query service")
@@ -205,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="node->shard assignment: multiplicative "
                             "hash (default, balances hubs) or "
                             "contiguous ranges (locality-friendly)")
-    serve.add_argument("--push-backend", choices=list(PUSH_BACKENDS),
-                       default=DEFAULT_PUSH_BACKEND)
     serve.add_argument("--trace-sample-rate", type=float, default=0.0,
                        help="fraction of requests recording a span tree "
                             "(head sampling; 0 disables tracing)")
@@ -413,8 +402,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     graph = load_dataset(args.dataset, scale=args.scale)
     common = dict(alpha=args.alpha, epsilon=args.epsilon,
                   budget_scale=args.budget_scale, seed=args.seed,
-                  workers=args.workers, push_backend=args.push_backend,
-                  variance_mode=args.variance_mode)
+                  workers=args.workers, variance_mode=args.variance_mode)
 
     if args.top_k is not None:
         if args.kind != "source":
@@ -508,18 +496,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    """Five fast end-to-end checks against exact ground truth.
+    """Four fast end-to-end checks against exact ground truth.
 
     Exercises the theory-critical path (sampler law = PPR), the
-    flagship query algorithm, the push invariant, the parallel
-    engine's worker-count invariance, and the push backends'
-    equivalence; exits non-zero on any failure so CI and users can
-    gate on it.
+    flagship query algorithm, the push invariant, and the parallel
+    engine's worker-count invariance; exits non-zero on any failure so
+    CI and users can gate on it.
 
     Every printed line — including the estimate digest — is identical
-    for any ``--workers`` / ``--push-backend`` value at a fixed
-    ``--seed``, so CI can diff two runs to verify both determinism
-    contracts.
+    for any ``--workers`` value at a fixed ``--seed``, so CI can diff
+    two runs to verify the determinism contract.
     """
     import hashlib
 
@@ -527,7 +513,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     from repro.graph.generators import erdos_renyi
     from repro.linalg import exact_ppr_matrix
     from repro.parallel import sample_forests_parallel
-    from repro.push import balanced_forward_push, forward_push
+    from repro.push import forward_push
 
     graph = erdos_renyi(12, 0.4, rng=args.seed)
     alpha = 0.2
@@ -548,16 +534,14 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
           f"(max dev {sampler_err:.4f} < 0.04)")
 
     result = single_source(graph, 0, method="speedlv", alpha=alpha,
-                           seed=args.seed, workers=args.workers,
-                           push_backend=args.push_backend)
+                           seed=args.seed, workers=args.workers)
     query_err = l1_error(result, exact[0])
     ok = query_err < 0.1
     failures += not ok
     print(f"[{'ok' if ok else 'FAIL'}] speedlv query "
           f"(L1 {query_err:.4f} < 0.1)")
 
-    push = forward_push(graph, 0, alpha, 0.01,
-                        backend=args.push_backend)
+    push = forward_push(graph, 0, alpha, 0.01)
     invariant_err = float(np.abs(
         push.reserve + push.residual @ exact - exact[0]).max())
     ok = invariant_err < 1e-9
@@ -566,24 +550,12 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
           f"(max dev {invariant_err:.2e} < 1e-9)")
 
     serial = single_source(graph, 0, method="speedlv", alpha=alpha,
-                           seed=args.seed, workers=1,
-                           push_backend=args.push_backend)
+                           seed=args.seed, workers=1)
     ok = np.array_equal(serial.estimates, result.estimates)
     failures += not ok
     digest = hashlib.sha256(result.estimates.tobytes()).hexdigest()[:16]
     print(f"[{'ok' if ok else 'FAIL'}] parallel engine determinism "
           f"(serial-equal estimates; digest {digest})")
-
-    vec = balanced_forward_push(graph, 0, alpha, 0.01,
-                                backend="vectorized")
-    sca = balanced_forward_push(graph, 0, alpha, 0.01, backend="scalar")
-    backend_dev = float(max(np.abs(vec.reserve - sca.reserve).max(),
-                            np.abs(vec.residual - sca.residual).max()))
-    ok = backend_dev <= 1e-12 and vec.num_pushes == sca.num_pushes
-    failures += not ok
-    print(f"[{'ok' if ok else 'FAIL'}] push backend equivalence "
-          f"(max dev {backend_dev:.2e} <= 1e-12; "
-          f"pushes {vec.num_pushes} == {sca.num_pushes})")
 
     print("self-check " + ("passed" if failures == 0
                            else f"FAILED ({failures})"))
@@ -603,8 +575,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         graph=args.graph, scale=args.scale, alpha=args.alpha,
         epsilon=args.epsilon, budget_scale=args.budget_scale,
-        seed=args.seed, workers=args.workers,
-        push_backend=args.push_backend, max_batch=args.max_batch,
+        seed=args.seed, workers=args.workers, max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms, queue_capacity=args.queue_capacity,
         cache_entries=args.cache_entries, host=args.host, port=args.port,
         executor=args.executor, dynamic=args.dynamic,

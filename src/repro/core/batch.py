@@ -312,8 +312,7 @@ class BatchSourceSolver(_BatchSolverBase):
         return self._run_batch(
             sources, "source",
             lambda node: balanced_forward_push(
-                self.graph, node, self.config.alpha, r_max,
-                backend=self.config.push_backend),
+                self.graph, node, self.config.alpha, r_max),
             r_max, self.index.estimate_source_many, "source",
             "batch-source")
 
@@ -335,8 +334,7 @@ class BatchTargetSolver(_BatchSolverBase):
         return self._run_batch(
             targets, "target",
             lambda node: backward_push(
-                self.graph, node, self.config.alpha, r_max,
-                backend=self.config.push_backend),
+                self.graph, node, self.config.alpha, r_max),
             r_max, self.index.estimate_target_many, "target",
             "batch-target")
 
@@ -432,8 +430,7 @@ class BatchPairSolver(_BatchSolverBase):
         for _, target in pairs:
             t0 = time.perf_counter()
             pushes.append(backward_push(
-                self.graph, target, self.config.alpha, r_max,
-                backend=self.config.push_backend))
+                self.graph, target, self.config.alpha, r_max))
             push_seconds.append(time.perf_counter() - t0)
         t1 = time.perf_counter()
         residuals = np.stack([push.residual for push in pushes])

@@ -74,12 +74,6 @@ class PPRConfig:
     serially, ``0``/``None`` uses the cpu count.  For a fixed ``seed``
     the estimates are bit-identical for every ``workers`` value.
 
-    ``push_backend`` selects the sweep kernel of every deterministic
-    push stage (:mod:`repro.push.kernels`): ``"vectorized"`` (default)
-    batches each frontier into segment ops, ``"scalar"`` runs the
-    node-at-a-time reference loop.  Estimates and ``work_*`` counters
-    are backend-independent, so it is a pure throughput knob.
-
     ``variance_mode`` picks the variance-reduction machinery of the
     forest stage (see :data:`VARIANCE_MODES`).  Modes with a measured
     gain shrink ω through :data:`VARIANCE_GAIN`, so fewer forests are
@@ -103,7 +97,6 @@ class PPRConfig:
     max_walks: int = 50_000_000
     seed: int | None = None
     workers: int | None = 1
-    push_backend: str = "vectorized"
     variance_mode: str = "improved"
 
     def __post_init__(self):
@@ -132,10 +125,6 @@ class PPRConfig:
             raise ConfigError(
                 f"variance_mode must be one of {VARIANCE_MODES}, "
                 f"got {self.variance_mode!r}")
-        # local import: repro.push pulls in graph/linalg modules and must
-        # not be a hard import at config-module load time
-        from repro.push.kernels import validate_push_backend
-        validate_push_backend(self.push_backend)
 
     # ------------------------------------------------------------------
     def resolve(self, graph: Graph) -> "PPRConfig":

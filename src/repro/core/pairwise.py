@@ -89,8 +89,7 @@ def pair_ppr(graph: Graph, source: int, target: int, *,
             config.epsilon * config.mu, 1.0))
 
     t0 = time.perf_counter()
-    push = backward_push(graph, target, config.alpha, r_max,
-                         backend=config.push_backend)
+    push = backward_push(graph, target, config.alpha, r_max)
     t1 = time.perf_counter()
 
     if num_forests is None:
@@ -162,8 +161,7 @@ def pair_ppr_bippr(graph: Graph, source: int, target: int, *,
             config.epsilon * config.mu, 1.0))
 
     t0 = time.perf_counter()
-    push = backward_push(graph, target, config.alpha, r_max,
-                         backend=config.push_backend)
+    push = backward_push(graph, target, config.alpha, r_max)
     t1 = time.perf_counter()
 
     if num_walks is None:

@@ -254,8 +254,7 @@ def fora(graph: Graph, source: int,
         r_max = float(np.clip(1.0 / np.sqrt(budget * max(graph.num_arcs, 1)),
                               1e-9, 1.0))
     t0 = time.perf_counter()
-    push = forward_push(graph, source, config.alpha, r_max,
-                        backend=config.push_backend)
+    push = forward_push(graph, source, config.alpha, r_max)
     t1 = time.perf_counter()
     mc, mc_stats = _walk_stage(graph, push.residual, config, rng)
     t2 = time.perf_counter()
@@ -277,8 +276,7 @@ def _foral_family(graph: Graph, source: int, config: PPRConfig | None,
     r_max = config.r_max
     if r_max is None:
         r_max, pilot = _pilot_r_max(graph, config, rng)
-    push = balanced_forward_push(graph, source, config.alpha, r_max,
-                                 backend=config.push_backend)
+    push = balanced_forward_push(graph, source, config.alpha, r_max)
     t1 = time.perf_counter()
     mc, mc_stats = _forest_stage(graph, push.residual, config, rng,
                                  improved=improved, sample_ceiling=r_max,
@@ -338,8 +336,7 @@ def speedppr(graph: Graph, source: int,
     config, rng = _prepare(graph, source, config)
     target = _residual_target(graph, config)
     t0 = time.perf_counter()
-    push = power_push(graph, source, config.alpha, target,
-                      backend=config.push_backend)
+    push = power_push(graph, source, config.alpha, target)
     t1 = time.perf_counter()
     mc, mc_stats = _walk_stage(graph, push.residual, config, rng)
     t2 = time.perf_counter()
@@ -364,8 +361,7 @@ def _speedl_family(graph: Graph, source: int, config: PPRConfig | None,
         pilot = sample_forest(graph, config.alpha, rng=rng,
                               method=config.sampler)
         target = _max_residual_target(graph, config, pilot.num_steps)
-    push = power_push(graph, source, config.alpha, target, criterion="max",
-                      backend=config.push_backend)
+    push = power_push(graph, source, config.alpha, target, criterion="max")
     t1 = time.perf_counter()
     ceiling = max(float(push.residual.max(initial=0.0)), 1e-12)
     mc, mc_stats = _forest_stage(graph, push.residual, config, rng,
@@ -421,8 +417,7 @@ def fora_plus(graph: Graph, source: int, index: WalkIndex,
         r_max = float(np.clip(1.0 / np.sqrt(budget * max(graph.num_arcs, 1)),
                               1e-9, 1.0))
     t0 = time.perf_counter()
-    push = forward_push(graph, source, config.alpha, r_max,
-                        backend=config.push_backend)
+    push = forward_push(graph, source, config.alpha, r_max)
     t1 = time.perf_counter()
     mc = index.estimate_from_residual(push.residual, budget)
     t2 = time.perf_counter()
@@ -441,8 +436,7 @@ def speedppr_plus(graph: Graph, source: int, index: WalkIndex,
     _check_index(index, graph, config, WalkIndex, "speedppr_plus")
     target = _residual_target(graph, config)
     t0 = time.perf_counter()
-    push = power_push(graph, source, config.alpha, target,
-                      backend=config.push_backend)
+    push = power_push(graph, source, config.alpha, target)
     t1 = time.perf_counter()
     mc = index.estimate_from_residual(push.residual,
                                       config.walk_budget(graph))
@@ -466,8 +460,7 @@ def foralv_plus(graph: Graph, source: int, index: ForestIndex,
     if r_max is None:
         r_max, _ = _pilot_r_max(graph, config, rng)
     t0 = time.perf_counter()
-    push = balanced_forward_push(graph, source, config.alpha, r_max,
-                                 backend=config.push_backend)
+    push = balanced_forward_push(graph, source, config.alpha, r_max)
     t1 = time.perf_counter()
     mc = index.estimate_source(push.residual, improved=True)
     t2 = time.perf_counter()
@@ -487,8 +480,7 @@ def speedlv_plus(graph: Graph, source: int, index: ForestIndex,
     _check_index(index, graph, config, ForestIndex, "speedlv_plus")
     target = _residual_target(graph, config)
     t0 = time.perf_counter()
-    push = power_push(graph, source, config.alpha, target,
-                      backend=config.push_backend)
+    push = power_push(graph, source, config.alpha, target)
     t1 = time.perf_counter()
     mc = index.estimate_source(push.residual, improved=True)
     t2 = time.perf_counter()

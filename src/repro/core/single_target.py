@@ -80,8 +80,7 @@ def back(graph: Graph, target: int,
     if r_max is None:
         r_max = _baseline_r_max(config) / config.budget_scale
     t0 = time.perf_counter()
-    push = backward_push(graph, target, config.alpha, r_max,
-                         backend=config.push_backend)
+    push = backward_push(graph, target, config.alpha, r_max)
     t1 = time.perf_counter()
     stats = {"r_max": r_max, "num_pushes": push.num_pushes,
              "push_work": push.work, "push_seconds": t1 - t0,
@@ -151,8 +150,7 @@ def _backl_family(graph: Graph, target: int, config: PPRConfig | None,
     if r_max is None:
         r_max, pilot = _two_stage_r_max(graph, target, config, rng)
     t0 = time.perf_counter()
-    push = backward_push(graph, target, config.alpha, r_max,
-                         backend=config.push_backend)
+    push = backward_push(graph, target, config.alpha, r_max)
     t1 = time.perf_counter()
     # ω is already discounted by config.variance_gain for modes with a
     # measured variance reduction — the walk_steps cut of this PR
@@ -237,8 +235,7 @@ def backlv_plus(graph: Graph, target: int, index: ForestIndex,
     if r_max is None:
         r_max, _ = _two_stage_r_max(graph, target, config, rng)
     t0 = time.perf_counter()
-    push = backward_push(graph, target, config.alpha, r_max,
-                         backend=config.push_backend)
+    push = backward_push(graph, target, config.alpha, r_max)
     t1 = time.perf_counter()
     mc = index.estimate_target(push.residual, improved=True)
     t2 = time.perf_counter()

@@ -136,8 +136,7 @@ class _SequentialEstimator:
         r_max = config.r_max or 1.0 / max(
             np.sqrt(config.walk_budget(graph)), 2.0)
         self.push = balanced_forward_push(graph, source, config.alpha,
-                                          min(max(r_max, 1e-9), 1.0),
-                                          backend=config.push_backend)
+                                          min(max(r_max, 1e-9), 1.0))
         self.r_max = r_max
         self.count = 0
         self.sum = np.zeros(graph.num_nodes)
@@ -390,8 +389,7 @@ class BatchTopKSolver:
         for node, k in parsed:
             t0 = time.perf_counter()
             push = balanced_forward_push(self.graph, node,
-                                         self.config.alpha, r_max,
-                                         backend=self.config.push_backend)
+                                         self.config.alpha, r_max)
             states.append(_TopKState(node, k, push,
                                      time.perf_counter() - t0,
                                      self.graph.num_nodes))

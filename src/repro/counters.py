@@ -41,8 +41,7 @@ class WorkCounters:
         Rooted spanning forests drawn.
     pushes:
         Deterministic push operations (forward/backward/power) —
-        total frontier memberships across sweeps, identical for every
-        push backend.
+        total frontier memberships across sweeps.
     push_sweeps:
         Synchronous frontier sweeps executed by the push stage;
         ``pushes / push_sweeps`` is the mean frontier size.

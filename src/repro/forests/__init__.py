@@ -10,7 +10,12 @@ Two samplers draw from the distribution of Theorem 4.3,
   based on the Propp–Wilson cycle-popping view of Wilson's algorithm
   (provably the same distribution; tested statistically).
 
-:func:`sample_forest` picks the vectorised sampler by default.
+The batch sampler (:func:`sample_forests_batch`, plain or stratified)
+and the recorded/repair samplers (:func:`sample_forest_recorded`,
+:func:`repair_forest`) run the same popping loop,
+:func:`~repro.forests.cycle_popping.pop_cycles`; each supplies only its
+own arrow source.  :func:`sample_forest` picks the vectorised sampler
+by default.
 :mod:`repro.forests.enumeration` brute-forces tiny graphs to verify
 the matrix-forest theorems; :mod:`repro.forests.estimators` implements
 the basic and variance-reduced PPR estimators of §5.2/§6.2.

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ConfigError, ConvergenceError
+from repro.exceptions import ConfigError
+from repro.forests.cycle_popping import check_alpha, fresh_arrows, pop_cycles
 from repro.forests.forest import RootedForest
 from repro.graph.csr import Graph
 from repro.rng import ensure_rng
@@ -82,6 +83,33 @@ def _neighbors_from_quantiles(graph: Graph, nodes: np.ndarray,
     return graph.indices[np.minimum(pos, graph.indptr[nodes + 1] - 1)]
 
 
+def _stratified_arrows(graph: Graph, alpha: float, base: np.ndarray,
+                       generator: np.random.Generator,
+                       edge_cumsum: np.ndarray | None
+                       ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Arrows of base nodes ``base`` from one Latin-hypercube round.
+
+    The stratified twin of
+    :func:`~repro.forests.cycle_popping.fresh_arrows`: one uniform per
+    entry decides both the stop coin and, for movers, the neighbour.
+    Returns ``(targets, stops, strata)``, aligned with ``base``.
+    """
+    order, uniforms, strata = _stratified_uniforms(base, generator)
+    base_sorted = base[order]
+    moves = (uniforms >= alpha) & (graph.out_degrees[base_sorted] != 0)
+    sorted_targets = base_sorted.copy()
+    # reuse the surviving uniform: conditional on u >= α it is
+    # U[α, 1), so (u-α)/(1-α) is an independent U[0, 1)
+    quantiles = (uniforms[moves] - alpha) / (1.0 - alpha)
+    sorted_targets[moves] = _neighbors_from_quantiles(
+        graph, base_sorted[moves], quantiles, edge_cumsum)
+    targets = np.empty_like(sorted_targets)
+    targets[order] = sorted_targets
+    stops = np.empty(base.size, dtype=bool)
+    stops[order] = ~moves
+    return targets, stops, strata
+
+
 def sample_forests_batch(graph: Graph, alpha: float, count: int,
                          rng: np.random.Generator | int | None = None,
                          max_rounds: int = 10_000_000,
@@ -110,93 +138,44 @@ def sample_forests_batch(graph: Graph, alpha: float, count: int,
     :func:`repro.forests.statistics.empirical_variance_ratio`).
     ``counters.strata`` is credited with the groups formed.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if count <= 0:
         raise ConfigError("count must be positive")
     n = graph.num_nodes
-    total = count * n
     generator = ensure_rng(rng)
-    alias = graph.alias_table
-    out_degrees = graph.out_degrees
     edge_cumsum = None
     if stratified and graph.weights is not None:
         # global running sum; within row u it is offset + per-row cumsum
         edge_cumsum = np.concatenate(
             ([0.0], np.cumsum(graph.weights, dtype=np.float64)))
-
-    next_node = np.empty(total, dtype=np.int64)
-    is_root = np.zeros(total, dtype=bool)
-    short = np.empty(total, dtype=np.int64)
-    active = np.arange(total)
-    trapped = np.arange(total)
     steps_per_layer = np.zeros(count, dtype=np.int64)
     strata_formed = 0
 
-    for _ in range(max_rounds):
-        # (1) fresh arrows for all active union-nodes
+    def draw(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # union-node layer·n + u draws u's arrow, shifted by layer·n
+        nonlocal strata_formed
         base = active % n
-        np.add.at(steps_per_layer, active // n, 1)
+        steps_per_layer[:] += np.bincount(active // n, minlength=count)
         if stratified:
-            order, uniforms, groups = _stratified_uniforms(base, generator)
-            active_round = active[order]
-            base_round = base[order]
+            targets, stops, groups = _stratified_arrows(
+                graph, alpha, base, generator, edge_cumsum)
             strata_formed += groups
         else:
-            uniforms = generator.random(active.size)
-            active_round = active
-            base_round = base
-        stops = (uniforms < alpha) | (out_degrees[base_round] == 0)
-        stopped = active_round[stops]
-        is_root[stopped] = True
-        next_node[stopped] = stopped
-        movers = active_round[~stops]
-        if movers.size:
-            is_root[movers] = False
-            offsets = movers - (movers % n)
-            if stratified:
-                # reuse the surviving uniform: conditional on u >= α it
-                # is U[α, 1), so (u-α)/(1-α) is an independent U[0, 1)
-                quantiles = (uniforms[~stops] - alpha) / (1.0 - alpha)
-                next_node[movers] = offsets + _neighbors_from_quantiles(
-                    graph, base_round[~stops], quantiles, edge_cumsum)
-            else:
-                next_node[movers] = offsets + alias.sample_neighbors(
-                    movers % n, rng=generator)
-        short[trapped] = next_node[trapped]
+            targets, stops = fresh_arrows(graph, alpha, base, generator)
+        targets += active - base
+        return targets, stops
 
-        # (2) resolve trapped chains (pointer doubling on the union)
-        doubling = int(np.ceil(np.log2(trapped.size + 2))) + 1
-        jump = short.copy()
-        for _ in range(doubling):
-            jump[trapped] = jump[jump[trapped]]
-        resolved = jump[trapped]
-        done = is_root[resolved]
-        short[trapped[done]] = resolved[done]
-
-        still = trapped[~done]
-        if still.size == 0:
-            parents = next_node.copy()
-            parents[is_root] = -1
-            forests = []
-            for layer in range(count):
-                lo, hi = layer * n, (layer + 1) * n
-                forests.append(RootedForest(
-                    roots=short[lo:hi] - lo,
-                    parents=np.where(parents[lo:hi] >= 0,
-                                     parents[lo:hi] - lo, -1),
-                    num_steps=int(steps_per_layer[layer]),
-                    method="cycle_popping_batch"))
-            if counters is not None:
-                for forest in forests:
-                    counters.record_forest(forest)
-                counters.strata += strata_formed
-            return forests
-
-        # (3) pop the union's bad cycles
-        active = np.unique(resolved[~done])
-        trapped = still
-
-    raise ConvergenceError(
-        f"batched cycle popping did not terminate within {max_rounds} rounds",
-        iterations=max_rounds)
+    roots, parents, _ = pop_cycles(count * n, draw, max_rounds)
+    forests = []
+    for layer in range(count):
+        lo, hi = layer * n, (layer + 1) * n
+        forests.append(RootedForest(
+            roots=roots[lo:hi] - lo,
+            parents=np.where(parents[lo:hi] >= 0, parents[lo:hi] - lo, -1),
+            num_steps=int(steps_per_layer[layer]),
+            method="cycle_popping_batch"))
+    if counters is not None:
+        for forest in forests:
+            counters.record_forest(forest)
+        counters.strata += strata_formed
+    return forests

@@ -23,6 +23,16 @@ That order-independence is what we exploit to vectorise:
 Each arrow draw corresponds to one walk step of Algorithm 1, so the
 total number of draws reproduces the τ statistic in distribution.
 
+:func:`pop_cycles` is the one implementation of steps (2)–(3).  Step
+(1) is an *arrow source* it calls once per round, so every sampler in
+the package is a different source over the same loop:
+
+- :func:`fresh_arrows` — the plain i.i.d. draw used here;
+- :mod:`repro.forests.batch_sampling` — the same draw, plain or
+  Latin-hypercube stratified, over a virtual union of graph copies;
+- :mod:`repro.forests.repair` — replay of recorded stacks, extended
+  with fresh draws.
+
 The expected number of rounds is small in practice: after the first
 pass only nodes on bad cycles survive, and each of those stops with
 probability ≥ α per redraw while most escape into the settled forest
@@ -31,6 +41,8 @@ far sooner.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.exceptions import ConfigError, ConvergenceError
@@ -38,7 +50,101 @@ from repro.forests.forest import RootedForest
 from repro.graph.csr import Graph
 from repro.rng import ensure_rng
 
-__all__ = ["sample_forest_cycle_popping"]
+__all__ = ["sample_forest_cycle_popping", "pop_cycles", "fresh_arrows"]
+
+#: ``draw(active) -> (targets, stops)``: see :func:`pop_cycles`.
+ArrowSource = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def fresh_arrows(graph: Graph, alpha: float, nodes: np.ndarray,
+                 generator: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One i.i.d. top arrow per node, as ``(targets, stops)``.
+
+    Draws one uniform per node for the stop coin, then the movers'
+    neighbours from the alias table — the RNG order every sampler
+    built on it shares.  Dangling nodes always stop; a stopping node's
+    target is itself.
+    """
+    coins = generator.random(nodes.size)
+    stops = (coins < alpha) | (graph.out_degrees[nodes] == 0)
+    targets = nodes.copy()
+    moves = ~stops
+    movers = nodes[moves]
+    if movers.size:
+        targets[moves] = graph.alias_table.sample_neighbors(movers,
+                                                            rng=generator)
+    return targets, stops
+
+
+def pop_cycles(size: int, draw: ArrowSource,
+               max_rounds: int = 10_000_000
+               ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cycle-pop a functional graph on ``size`` nodes until it is a forest.
+
+    ``draw(active)`` returns the next arrow of every node in ``active``
+    (sorted, unique) as ``(targets, stops)``: ``stops[i]`` makes
+    ``active[i]`` a root, and then ``targets[i]`` must be ``active[i]``.
+    It is called first with every node, then with the nodes of each
+    round's popped cycles.
+
+    Returns ``(roots, parents, steps)``: each node's root, each node's
+    parent (``-1`` at roots), and the number of arrows drawn.
+
+    Resolution is incremental: once a node's arrow chain reaches a
+    root it can never be disturbed (popped nodes all lie on bad
+    cycles, and chains of settled nodes avoid those by definition), so
+    each popping round re-resolves only the still-trapped set.  The
+    ``short`` map sends settled nodes straight to their root, keeping
+    the pointer-doubling depth at ``O(log |trapped|)``.
+    """
+    next_node = np.empty(size, dtype=np.int64)
+    is_root = np.zeros(size, dtype=bool)
+    # short[u]: u's root once settled (a fixed point), else its arrow
+    short = np.empty(size, dtype=np.int64)
+    active = np.arange(size)    # nodes whose arrows must be (re)drawn
+    trapped = active            # nodes not yet proven to reach a root
+    steps = 0
+
+    for _ in range(max_rounds):
+        # (1) fresh top arrows for the active (popped) nodes
+        steps += active.size
+        targets, stops = draw(active)
+        is_root[active] = stops
+        next_node[active] = targets
+        short[trapped] = next_node[trapped]
+
+        # (2) resolve the trapped chains by pointer doubling restricted
+        # to the trapped set (their chains stay inside it until they
+        # hit a settled node, which `short` maps to its root directly)
+        doubling = int(np.ceil(np.log2(trapped.size + 2))) + 1
+        jump = short.copy()
+        for _ in range(doubling):
+            jump[trapped] = jump[jump[trapped]]
+        resolved = jump[trapped]
+        done = is_root[resolved]
+        short[trapped[done]] = resolved[done]
+
+        still = trapped[~done]
+        if still.size == 0:
+            parents = next_node
+            parents[is_root] = -1
+            return short, parents, steps  # short now maps to roots
+
+        # (3) pop: nodes lying on bad cycles are exactly the resolved
+        # targets of trapped chains (f^T is a bijection on each cycle)
+        active = np.unique(resolved[~done])
+        trapped = still
+
+    raise ConvergenceError(
+        f"cycle popping did not terminate within {max_rounds} rounds",
+        iterations=max_rounds)
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise :class:`ConfigError` unless ``0 < alpha < 1``."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
 def sample_forest_cycle_popping(graph: Graph, alpha: float,
@@ -59,69 +165,12 @@ def sample_forest_cycle_popping(graph: Graph, alpha: float,
     RootedForest
         ``num_steps`` counts every arrow drawn — equal in distribution
         to the reference sampler's walk-step count (the empirical τ).
-
-    Notes
-    -----
-    Resolution is incremental: once a node's arrow chain reaches a
-    root it can never be disturbed (popped nodes all lie on bad
-    cycles, and chains of settled nodes avoid those by definition), so
-    each popping round re-resolves only the still-trapped set.  The
-    ``short`` map sends settled nodes straight to their root, keeping
-    the pointer-doubling depth at ``O(log |trapped|)``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    n = graph.num_nodes
+    check_alpha(alpha)
     generator = ensure_rng(rng)
-    alias = graph.alias_table
-    out_degrees = graph.out_degrees
-
-    next_node = np.empty(n, dtype=np.int64)
-    is_root = np.zeros(n, dtype=bool)
-    # short[u]: u's root once settled (a fixed point), else its arrow
-    short = np.empty(n, dtype=np.int64)
-    active = np.arange(n)       # nodes whose arrows must be (re)drawn
-    trapped = np.arange(n)      # nodes not yet proven to reach a root
-    steps = 0
-
-    for _ in range(max_rounds):
-        # (1) draw fresh top arrows for the active (popped) nodes
-        steps += active.size
-        coins = generator.random(active.size)
-        stops = (coins < alpha) | (out_degrees[active] == 0)
-        stopped = active[stops]
-        is_root[stopped] = True
-        next_node[stopped] = stopped
-        movers = active[~stops]
-        if movers.size:
-            is_root[movers] = False
-            next_node[movers] = alias.sample_neighbors(movers, rng=generator)
-        short[trapped] = next_node[trapped]
-
-        # (2) resolve the trapped chains by pointer doubling restricted
-        # to the trapped set (their chains stay inside it until they
-        # hit a settled node, which `short` maps to its root directly)
-        doubling = int(np.ceil(np.log2(trapped.size + 2))) + 1
-        jump = short.copy()
-        for _ in range(doubling):
-            jump[trapped] = jump[jump[trapped]]
-        resolved = jump[trapped]
-        done = is_root[resolved]
-        short[trapped[done]] = resolved[done]
-
-        still = trapped[~done]
-        if still.size == 0:
-            parents = next_node.copy()
-            parents[is_root] = -1
-            roots = short  # every entry now points at its root
-            return RootedForest(roots=roots, parents=parents,
-                                num_steps=steps, method="cycle_popping")
-
-        # (3) pop: nodes lying on bad cycles are exactly the resolved
-        # targets of trapped chains (f^T is a bijection on each cycle)
-        active = np.unique(resolved[~done])
-        trapped = still
-
-    raise ConvergenceError(
-        f"cycle popping did not terminate within {max_rounds} rounds",
-        iterations=max_rounds)
+    roots, parents, steps = pop_cycles(
+        graph.num_nodes,
+        lambda active: fresh_arrows(graph, alpha, active, generator),
+        max_rounds)
+    return RootedForest(roots=roots, parents=parents, num_steps=steps,
+                        method="cycle_popping")

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.counters import WorkCounters
-from repro.exceptions import ConfigError, ConvergenceError
+from repro.exceptions import ConfigError
+from repro.forests.cycle_popping import check_alpha, fresh_arrows, pop_cycles
 from repro.forests.forest import RootedForest
 from repro.graph.csr import Graph
 from repro.rng import ensure_rng
@@ -53,7 +54,6 @@ __all__ = ["ForestRecord", "sample_forest_recorded", "repair_forest",
 
 #: Record marker for a "stop here" arrow (the node became a root).
 STOP_ARROW = -1
-
 
 @dataclass
 class ForestRecord:
@@ -106,97 +106,52 @@ def _replay(graph: Graph, alpha: float, record: ForestRecord,
             ) -> tuple[RootedForest, ForestRecord, int, int]:
     """Cycle popping over recorded stacks extended with fresh draws.
 
-    Returns ``(forest, new_record, replayed, fresh)`` where ``replayed``
-    counts record reads and ``fresh`` counts new arrow draws.  With an
-    empty record this is exactly :func:`sample_forest_cycle_popping`
-    (same RNG consumption order, bit-identical output at a fixed seed).
+    The arrow source for :func:`~repro.forests.cycle_popping.pop_cycles`
+    replays the record where it still covers a node's stack position
+    and draws fresh from the (current) graph past its end.  Returns
+    ``(forest, new_record, replayed, fresh)`` where ``replayed`` counts
+    record reads and ``fresh`` counts new arrow draws.  With an empty
+    record this is exactly :func:`sample_forest_cycle_popping` (same
+    RNG consumption order, bit-identical output at a fixed seed).
     """
     n = graph.num_nodes
     if record.num_nodes != n:
         raise ConfigError(
             f"record covers {record.num_nodes} nodes, graph has {n}")
-    alias = graph.alias_table
-    out_degrees = graph.out_degrees
-
     rec_start = record.indptr[:-1]
     rec_len = record.lengths().copy()
     rec_len[dirty] = 0  # dirty rows changed; their draws are invalid
 
-    cursor = np.zeros(n, dtype=np.int64)  # pops so far = stack position
-    next_node = np.empty(n, dtype=np.int64)
-    is_root = np.zeros(n, dtype=bool)
-    short = np.empty(n, dtype=np.int64)
-    active = np.arange(n)
-    trapped = np.arange(n)
-    replayed = 0
-    fresh = 0
+    cursor = np.zeros(n, dtype=np.int64)  # draws so far = stack position
     fresh_nodes: list[np.ndarray] = []
-    fresh_arrows: list[np.ndarray] = []
+    fresh_draws: list[np.ndarray] = []
 
-    for _ in range(max_rounds):
-        # (1) top arrows for the active set: replay the record where it
-        # still covers the node's stack position, else draw fresh from
-        # the (current) graph and append to the record buffers
+    def draw(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         use_record = cursor[active] < rec_len[active]
         recorded = active[use_record]
-        if recorded.size:
-            replayed += recorded.size
-            arrows = record.arrows[rec_start[recorded] + cursor[recorded]]
-            stops = arrows == STOP_ARROW
-            stopped = recorded[stops]
-            is_root[stopped] = True
-            next_node[stopped] = stopped
-            movers = recorded[~stops]
-            is_root[movers] = False
-            next_node[movers] = arrows[~stops]
+        arrows = record.arrows[rec_start[recorded] + cursor[recorded]]
+        replayed_stops = arrows == STOP_ARROW
+        stops = np.empty(active.size, dtype=bool)
+        targets = np.empty(active.size, dtype=np.int64)
+        stops[use_record] = replayed_stops
+        targets[use_record] = np.where(replayed_stops, recorded, arrows)
+        cursor[active] += 1
         drawing = active[~use_record]
         if drawing.size:
-            fresh += drawing.size
-            coins = generator.random(drawing.size)
-            stops = (coins < alpha) | (out_degrees[drawing] == 0)
-            stopped = drawing[stops]
-            is_root[stopped] = True
-            next_node[stopped] = stopped
-            movers = drawing[~stops]
-            arrows = np.full(drawing.size, STOP_ARROW, dtype=np.int64)
-            if movers.size:
-                is_root[movers] = False
-                targets = alias.sample_neighbors(movers, rng=generator)
-                next_node[movers] = targets
-                arrows[~stops] = targets
+            drawn, drawn_stops = fresh_arrows(graph, alpha, drawing,
+                                              generator)
+            stops[~use_record] = drawn_stops
+            targets[~use_record] = drawn
             fresh_nodes.append(drawing)
-            fresh_arrows.append(arrows)
-        short[trapped] = next_node[trapped]
+            fresh_draws.append(np.where(drawn_stops, STOP_ARROW, drawn))
+        return targets, stops
 
-        # (2) resolve trapped chains by pointer doubling (identical to
-        # sample_forest_cycle_popping)
-        doubling = int(np.ceil(np.log2(trapped.size + 2))) + 1
-        jump = short.copy()
-        for _ in range(doubling):
-            jump[trapped] = jump[jump[trapped]]
-        resolved = jump[trapped]
-        done = is_root[resolved]
-        short[trapped[done]] = resolved[done]
-
-        still = trapped[~done]
-        if still.size == 0:
-            parents = next_node.copy()
-            parents[is_root] = -1
-            forest = RootedForest(roots=short, parents=parents,
-                                  num_steps=replayed + fresh,
-                                  method=method)
-            new_record = _merge_record(record, rec_len, fresh_nodes,
-                                       fresh_arrows, n)
-            return forest, new_record, replayed, fresh
-
-        # (3) pop the bad cycles: advance their stack cursors and redraw
-        active = np.unique(resolved[~done])
-        cursor[active] += 1
-        trapped = still
-
-    raise ConvergenceError(
-        f"forest repair did not terminate within {max_rounds} rounds",
-        iterations=max_rounds)
+    roots, parents, steps = pop_cycles(n, draw, max_rounds)
+    fresh = sum(nodes.size for nodes in fresh_nodes)
+    forest = RootedForest(roots=roots, parents=parents, num_steps=steps,
+                          method=method)
+    new_record = _merge_record(record, rec_len, fresh_nodes, fresh_draws, n)
+    return forest, new_record, steps - fresh, fresh
 
 
 def _merge_record(record: ForestRecord, kept_len: np.ndarray,
@@ -243,8 +198,7 @@ def sample_forest_recorded(graph: Graph, alpha: float,
     at the same seed — recording changes bookkeeping, not the draw
     sequence.  Standard sampling counters are credited.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     generator = ensure_rng(rng)
     forest, record, _, _ = _replay(
         graph, alpha, ForestRecord.empty(graph.num_nodes),
@@ -284,8 +238,7 @@ def repair_forest(graph: Graph, alpha: float, record: ForestRecord,
         ``repair_replayed_steps`` / ``repair_fresh_steps`` /
         ``repair_dirty_nodes`` on ``counters``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     dirty = np.asarray(dirty, dtype=np.int64)
     if dirty.size and (dirty.min() < 0 or dirty.max() >= graph.num_nodes):
         raise ConfigError("dirty node id out of range")

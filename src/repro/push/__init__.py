@@ -10,12 +10,10 @@ PPR method in the paper.
 - :func:`backward_push` — Algorithm 4 (single target);
 - :func:`randomized_backward_push` — the RBACK baseline [43].
 
-All deterministic pushes run as synchronous frontier sweeps over a
-:mod:`repro.push.kernels` scatter kernel; ``backend="vectorized"``
-(default) batches the whole frontier into segment ops, while
-``backend="scalar"`` keeps the node-at-a-time reference loop.  The two
-backends agree on every output (tested to ≤1e-12) and on all work
-counters.
+All deterministic pushes run as synchronous frontier sweeps over the
+:mod:`repro.push.kernels` scatter, which batches the whole frontier
+into segment ops.  The test suite checks it against a node-at-a-time
+oracle (``tests/push_oracle.py``) to ≤1e-12 and on all work counters.
 """
 
 from repro.push.forward import (
@@ -23,7 +21,6 @@ from repro.push.forward import (
     forward_push,
     balanced_forward_push,
 )
-from repro.push.kernels import DEFAULT_PUSH_BACKEND, PUSH_BACKENDS
 from repro.push.power_push import power_push
 from repro.push.backward import backward_push, randomized_backward_push
 
@@ -34,6 +31,4 @@ __all__ = [
     "power_push",
     "backward_push",
     "randomized_backward_push",
-    "PUSH_BACKENDS",
-    "DEFAULT_PUSH_BACKEND",
 ]

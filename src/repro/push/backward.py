@@ -12,10 +12,8 @@ forward push.  The uniform threshold ``r(u) ≥ r_max`` yields the
 classic additive guarantee ``|π(v,t) − q(v)| ≤ r_max`` for all ``v``.
 
 :func:`backward_push` runs as synchronous frontier sweeps over the
-reverse CSR through :func:`repro.push.kernels.backward_scatter`
-(``backend="vectorized"`` batches the whole frontier,
-``backend="scalar"`` is the node-at-a-time reference loop; the sweep
-schedule and exit state are backend-independent).
+reverse CSR through :func:`repro.push.kernels.backward_scatter`, which
+batches the whole frontier into one segment-scatter.
 
 :func:`randomized_backward_push` implements the RBACK baseline
 (Wang et al., KDD'20): residual increments below a threshold ``θ`` are
@@ -35,11 +33,7 @@ import numpy as np
 from repro.exceptions import ConfigError
 from repro.graph.csr import Graph
 from repro.push.forward import PushResult
-from repro.push.kernels import (
-    DEFAULT_PUSH_BACKEND,
-    backward_scatter,
-    validate_push_backend,
-)
+from repro.push.kernels import backward_scatter
 from repro.rng import ensure_rng
 
 __all__ = ["backward_push", "randomized_backward_push"]
@@ -66,15 +60,13 @@ def _in_edges(graph: Graph):
 
 
 def backward_push(graph: Graph, target: int, alpha: float, r_max: float,
-                  max_pushes: int = 50_000_000, *,
-                  backend: str = DEFAULT_PUSH_BACKEND) -> PushResult:
+                  max_pushes: int = 50_000_000) -> PushResult:
     """Algorithm 4: deterministic backward push from ``target``.
 
     Guarantees ``0 ≤ π(v, t) − q(v) ≤ r_max`` for every ``v`` on exit
     (additive error), at cost ``O(π(t) · d̄ / (α · r_max))``.
     """
     _check(graph, target, alpha, r_max)
-    validate_push_backend(backend)
     n = graph.num_nodes
     indptr, indices, weights = _in_edges(graph)
     degrees = graph.degrees
@@ -102,7 +94,7 @@ def backward_push(graph: Graph, target: int, alpha: float, r_max: float,
         spread = np.where(dangling, (1.0 - alpha) / alpha * mass,
                           (1.0 - alpha) * mass)
         work += backward_scatter(indptr, indices, weights, degrees,
-                                 frontier, spread, residual, backend)
+                                 frontier, spread, residual)
     return PushResult(reserve=reserve, residual=residual,
                       num_pushes=pushes, work=work,
                       num_sweeps=len(frontier_sizes),

@@ -15,12 +15,9 @@ Chernoff argument of Theorem 5.3 (high-degree nodes may no longer hide
 large residuals behind a degree-scaled threshold).
 
 Both variants run as synchronous *frontier sweeps*: every iteration
-pushes the entire above-threshold frontier at once through a
-:mod:`repro.push.kernels` scatter kernel (``backend="vectorized"``
-batches all frontier rows into one segment-scatter;
-``backend="scalar"`` is the node-at-a-time reference loop).  The
-sweep schedule — and hence ``num_pushes`` and the exit state — is
-identical for both backends; only the per-sweep execution differs.
+pushes the entire above-threshold frontier at once through the
+:mod:`repro.push.kernels` scatter, which batches all frontier rows
+into one segment-scatter.
 
 Dangling nodes absorb their entire residual into reserve, matching the
 library-wide absorbing-walk convention.
@@ -34,11 +31,7 @@ import numpy as np
 
 from repro.exceptions import ConfigError
 from repro.graph.csr import Graph
-from repro.push.kernels import (
-    DEFAULT_PUSH_BACKEND,
-    forward_scatter,
-    validate_push_backend,
-)
+from repro.push.kernels import forward_scatter
 
 __all__ = ["PushResult", "forward_push", "balanced_forward_push"]
 
@@ -55,7 +48,7 @@ class PushResult:
         ``r`` — the unsettled mass per node (non-negative).
     num_pushes:
         Number of push operations executed (total frontier memberships
-        across all sweeps; equal for every backend).
+        across all sweeps).
     work:
         Total edge traversals, the machine-independent cost measure
         used by the benchmark harness.
@@ -94,8 +87,7 @@ def _check_common(graph: Graph, node: int, alpha: float, r_max: float) -> None:
 
 def _forward_push_impl(graph: Graph, source: int, alpha: float,
                        r_max: float, *, balanced: bool,
-                       max_pushes: int, backend: str) -> PushResult:
-    validate_push_backend(backend)
+                       max_pushes: int) -> PushResult:
     n = graph.num_nodes
     degrees = graph.degrees
     reserve = np.zeros(n)
@@ -132,7 +124,7 @@ def _forward_push_impl(graph: Graph, source: int, alpha: float,
             push_mass = mass[~dangling]
             reserve[pushable] += alpha * push_mass
             work += forward_scatter(graph, pushable, push_mass, alpha,
-                                    residual, backend)
+                                    residual)
     return PushResult(reserve=reserve, residual=residual,
                       num_pushes=pushes, work=work,
                       num_sweeps=len(frontier_sizes),
@@ -140,24 +132,20 @@ def _forward_push_impl(graph: Graph, source: int, alpha: float,
 
 
 def forward_push(graph: Graph, source: int, alpha: float, r_max: float,
-                 max_pushes: int = 50_000_000, *,
-                 backend: str = DEFAULT_PUSH_BACKEND) -> PushResult:
+                 max_pushes: int = 50_000_000) -> PushResult:
     """Algorithm 2: classic forward push, threshold ``d_u · r_max``.
 
     Runs in ``O(1 / (α · r_max))`` pushes; the reserve under-estimates
     ``π(source, ·)`` and the invariant Eq. 6 holds exactly (tested).
-    ``backend`` picks the sweep kernel (see :mod:`repro.push.kernels`);
-    the result is backend-independent.
     """
     _check_common(graph, source, alpha, r_max)
     return _forward_push_impl(graph, source, alpha, r_max, balanced=False,
-                              max_pushes=max_pushes, backend=backend)
+                              max_pushes=max_pushes)
 
 
 def balanced_forward_push(graph: Graph, source: int, alpha: float,
                           r_max: float,
-                          max_pushes: int = 50_000_000, *,
-                          backend: str = DEFAULT_PUSH_BACKEND) -> PushResult:
+                          max_pushes: int = 50_000_000) -> PushResult:
     """§5.2's balanced forward push: uniform threshold ``r_max``.
 
     Guarantees ``r(u) < r_max`` for every node on exit — the property
@@ -166,4 +154,4 @@ def balanced_forward_push(graph: Graph, source: int, alpha: float,
     """
     _check_common(graph, source, alpha, r_max)
     return _forward_push_impl(graph, source, alpha, r_max, balanced=True,
-                              max_pushes=max_pushes, backend=backend)
+                              max_pushes=max_pushes)

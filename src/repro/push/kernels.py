@@ -1,58 +1,31 @@
 r"""Frontier-batch push kernels shared by every deterministic push.
 
-All push algorithms in this package now run as *synchronous frontier
+All push algorithms in this package run as *synchronous frontier
 sweeps*: each iteration selects the entire above-threshold frontier at
 once, converts the α-share of every frontier residual into reserve,
 and scatters the remaining ``(1-α)`` mass to the frontier's neighbours
 over the shared CSR arrays.  The per-sweep scatter — the hot inner
-loop — lives here in two interchangeable *backends*:
+loop — lives here: one ``np.add.at`` segment-scatter over the
+concatenated CSR rows of all frontier nodes (PowerWalk-style
+vertex-centric batching).
 
-``vectorized`` (default)
-    One ``np.add.at`` segment-scatter over the concatenated CSR rows
-    of all frontier nodes (PowerWalk-style vertex-centric batching).
-``scalar``
-    The historical node-at-a-time Python loop, retained as the
-    reference implementation the statistical and equivalence tests
-    compare against.
-
-Both backends traverse the same edges in the same order with the same
-floating-point expression structure, so for a given frontier they
-produce identical residual/reserve updates (the cross-backend tests
-assert agreement to ≤1e-12 and equal push counts).  Backend selection
-threads from :class:`~repro.core.config.PPRConfig.push_backend` and
-the CLI's ``--push-backend`` down to the ``backend=`` parameter of
-:func:`~repro.push.forward.forward_push` and friends.
+The node-at-a-time loop these kernels replaced lives on in
+``tests/push_oracle.py``; the equivalence suite swaps it in under the
+production sweep drivers and asserts agreement to ≤1e-12 with equal
+push counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ConfigError
 from repro.graph.csr import Graph
 
 __all__ = [
-    "PUSH_BACKENDS",
-    "DEFAULT_PUSH_BACKEND",
-    "validate_push_backend",
     "frontier_edges",
     "forward_scatter",
     "backward_scatter",
 ]
-
-#: Registered push backends, in documentation order.
-PUSH_BACKENDS = ("vectorized", "scalar")
-
-#: Backend used when none is requested.
-DEFAULT_PUSH_BACKEND = "vectorized"
-
-
-def validate_push_backend(backend: str) -> str:
-    """Return ``backend`` if registered, raise :class:`ConfigError` if not."""
-    if backend not in PUSH_BACKENDS:
-        raise ConfigError(
-            f"unknown push backend {backend!r}; choose from {PUSH_BACKENDS}")
-    return backend
 
 
 def frontier_edges(indptr: np.ndarray, frontier: np.ndarray,
@@ -73,8 +46,7 @@ def frontier_edges(indptr: np.ndarray, frontier: np.ndarray,
 
 
 def forward_scatter(graph: Graph, frontier: np.ndarray, mass: np.ndarray,
-                    alpha: float, residual: np.ndarray,
-                    backend: str) -> int:
+                    alpha: float, residual: np.ndarray) -> int:
     """Scatter the forward shares of every frontier node's residual.
 
     ``mass`` holds the residuals captured at sweep start (the driver
@@ -85,20 +57,6 @@ def forward_scatter(graph: Graph, frontier: np.ndarray, mass: np.ndarray,
     """
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
     degrees = graph.degrees
-    if backend == "scalar":
-        work = 0
-        for i in range(frontier.size):
-            u = int(frontier[i])
-            m = float(mass[i])
-            lo, hi = indptr[u], indptr[u + 1]
-            neighbors = indices[lo:hi]
-            if weights is None:
-                np.add.at(residual, neighbors, (1.0 - alpha) * m / degrees[u])
-            else:
-                np.add.at(residual, neighbors,
-                          (1.0 - alpha) * m * weights[lo:hi] / degrees[u])
-            work += int(hi - lo)
-        return work
     counts = indptr[frontier + 1] - indptr[frontier]
     edges = frontier_edges(indptr, frontier, counts)
     targets = indices[edges]
@@ -114,7 +72,7 @@ def forward_scatter(graph: Graph, frontier: np.ndarray, mass: np.ndarray,
 def backward_scatter(indptr: np.ndarray, indices: np.ndarray,
                      weights: np.ndarray | None, degrees: np.ndarray,
                      frontier: np.ndarray, spread: np.ndarray,
-                     residual: np.ndarray, backend: str) -> int:
+                     residual: np.ndarray) -> int:
     """Scatter backward-push mass to the frontier's in-neighbours.
 
     ``indptr``/``indices``/``weights`` describe the *reverse* CSR (the
@@ -125,24 +83,6 @@ def backward_scatter(indptr: np.ndarray, indices: np.ndarray,
     per-node outgoing mass (``(1-α)·r(u)``, or the dangling closed
     form).  Returns the number of edge traversals.
     """
-    if backend == "scalar":
-        work = 0
-        for i in range(frontier.size):
-            u = int(frontier[i])
-            lo, hi = indptr[u], indptr[u + 1]
-            sources = indices[lo:hi]
-            if sources.size:
-                edge_w = (np.ones(hi - lo) if weights is None
-                          else weights[lo:hi])
-                receiver_deg = degrees[sources]
-                increments = np.zeros(hi - lo)
-                # in-neighbours necessarily have an out-edge, so
-                # receiver_deg > 0; guard anyway for pathological input
-                ok = receiver_deg > 0
-                increments[ok] = float(spread[i]) * edge_w[ok] / receiver_deg[ok]
-                np.add.at(residual, sources, increments)
-            work += int(hi - lo)
-        return work
     counts = indptr[frontier + 1] - indptr[frontier]
     edges = frontier_edges(indptr, frontier, counts)
     sources = indices[edges]

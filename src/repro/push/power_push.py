@@ -17,11 +17,9 @@ forest sampling (SPEEDL / SPEEDLV).
 
 A hybrid refinement (``local_start=True``) runs a frontier-sweep local
 push first while the frontier is narrow, then switches to full
-mat-vecs — mirroring SPEEDPPR's actual implementation.  ``backend``
-selects the local phase's sweep kernel (see
-:mod:`repro.push.kernels`); the whole-vector rounds are already one
-maximal-frontier vector kernel (a CSR mat-vec) and are shared by both
-backends, so the result is backend-independent.
+mat-vecs — mirroring SPEEDPPR's actual implementation.  The
+whole-vector rounds are one maximal-frontier vector kernel (a CSR
+mat-vec).
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.exceptions import ConfigError
 from repro.graph.csr import Graph
 from repro.linalg.transition import transition_matrix
 from repro.push.forward import PushResult, forward_push
-from repro.push.kernels import DEFAULT_PUSH_BACKEND, validate_push_backend
 
 __all__ = ["power_push"]
 
@@ -40,8 +37,7 @@ __all__ = ["power_push"]
 def power_push(graph: Graph, source: int, alpha: float,
                residual_target: float, *, criterion: str = "mass",
                local_start: bool = True,
-               max_rounds: int = 100_000,
-               backend: str = DEFAULT_PUSH_BACKEND) -> PushResult:
+               max_rounds: int = 100_000) -> PushResult:
     """Push until the residual drops below ``residual_target``.
 
     Parameters
@@ -57,9 +53,6 @@ def power_push(graph: Graph, source: int, alpha: float,
     local_start:
         Begin with a classic local forward push (cheap while the
         frontier is small) before switching to whole-vector rounds.
-    backend:
-        Sweep kernel for the local phase (whole-vector rounds are
-        backend-independent).
 
     Returns
     -------
@@ -75,7 +68,6 @@ def power_push(graph: Graph, source: int, alpha: float,
         raise ConfigError("residual_target must lie in (0, 1]")
     if criterion not in ("mass", "max"):
         raise ConfigError("criterion must be 'mass' or 'max'")
-    validate_push_backend(backend)
 
     work = 0
     pushes = 0
@@ -84,8 +76,7 @@ def power_push(graph: Graph, source: int, alpha: float,
         # a moderately coarse local push clears the easy mass first
         warm = forward_push(graph, source, alpha,
                             r_max=max(residual_target, 1.0 / max(
-                                graph.num_nodes, 1)),
-                            backend=backend)
+                                graph.num_nodes, 1)))
         reserve, residual = warm.reserve, warm.residual
         work += warm.work
         pushes += warm.num_pushes

@@ -27,7 +27,7 @@ class ServiceConfig:
     graph, scale:
         Dataset name (see ``repro datasets``) and scale factor the
         service loads and warms at startup.
-    alpha, epsilon, budget_scale, seed, workers, push_backend:
+    alpha, epsilon, budget_scale, seed, workers:
         The :class:`~repro.core.config.PPRConfig` fields the warmed
         index and its solvers are built with; ``workers`` fans the
         index *build* out over the parallel engine and — in process
@@ -117,7 +117,6 @@ class ServiceConfig:
     budget_scale: float = 0.05
     seed: int = 2022
     workers: int = 1
-    push_backend: str = "vectorized"
     executor: str = "thread"
     dynamic: bool = False
     bank_dir: str | None = None
@@ -229,7 +228,7 @@ class ServiceConfig:
                 f"slo_burn_threshold must be > 0, "
                 f"got {self.slo_burn_threshold}")
         # delegate the query-parameter checks (alpha range, epsilon > 0,
-        # workers >= 0, known push backend) to PPRConfig
+        # workers >= 0) to PPRConfig
         self.ppr_config()
 
     # ------------------------------------------------------------------
@@ -237,8 +236,7 @@ class ServiceConfig:
         """The query configuration served requests are solved under."""
         return PPRConfig(alpha=self.alpha, epsilon=self.epsilon,
                          budget_scale=self.budget_scale, seed=self.seed,
-                         workers=self.workers,
-                         push_backend=self.push_backend)
+                         workers=self.workers)
 
     def with_overrides(self, **changes) -> "ServiceConfig":
         """Functional update helper (``dataclasses.replace`` wrapper)."""
@@ -254,7 +252,6 @@ class ServiceConfig:
                 ("budget_scale", self.budget_scale),
                 ("seed", self.seed),
                 ("workers", self.workers),
-                ("push_backend", self.push_backend),
                 ("executor", self.executor),
                 ("dynamic", self.dynamic),
                 ("bank_dir", self.bank_dir or "build at boot"),

@@ -127,7 +127,7 @@ class IndexManager:
     config:
         Baseline :class:`~repro.core.config.PPRConfig`; per-request ε
         overrides it at solver-build time, everything else (seed,
-        budget scale, push backend, build workers) comes from here.
+        budget scale, build workers) comes from here.
     num_forests:
         Bank size; defaults to
         :meth:`ForestIndex.recommended_size` for the baseline ε.

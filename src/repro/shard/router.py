@@ -42,8 +42,8 @@ per-shard fold-latency histogram
 
 from __future__ import annotations
 
-import math
 import os
+import statistics
 import threading
 from collections import deque
 
@@ -60,6 +60,18 @@ __all__ = ["ShardRouter", "StragglerDetector", "bounded_topk_merge"]
 #: answers are untouched — only the observed latency moves), so a
 #: deterministically slow shard can be forced without slowing tests.
 SLOWDOWN_ENV = "REPRO_SHARD_SLOWDOWN"
+
+
+#: A fold is flagged only if it also takes at least this multiple of the
+#: window median, so a tight window (tiny MAD) cannot turn ordinary
+#: scheduling jitter into a large robust z-score.  Millisecond folds
+#: were measured jumping to 3-4x the median from scheduling alone on a
+#: 2-vCPU host, hence the margin.
+STRAGGLER_MIN_RATIO = 10.0
+
+#: Scales a median absolute deviation to a standard deviation under
+#: normal noise (1 / Φ⁻¹(3/4)).
+MAD_TO_SIGMA = 1.4826
 
 
 def _env_slowdowns() -> dict[int, float]:
@@ -81,11 +93,14 @@ class StragglerDetector:
 
     Keeps one bounded window of recent fold times across *all* shards
     (the peers a straggler is slow relative to) and flags a fold whose
-    z-score against that window exceeds ``z_threshold``.  A
-    ``min_samples`` guard keeps the first folds — when the window
-    cannot yet estimate a distribution — from being flagged, and a
-    floor on the standard deviation keeps near-constant fold times
-    (σ ≈ 0) from turning microsecond jitter into alerts.
+    robust z-score — distance from the window median in units of the
+    scaled median absolute deviation — exceeds ``z_threshold`` *and*
+    which takes at least :data:`STRAGGLER_MIN_RATIO` times the window
+    median.  Median and MAD ignore the odd slow warm-up fold that would
+    inflate a mean/std baseline.  A ``min_samples`` guard keeps the
+    first folds — when the window cannot yet estimate a distribution —
+    from being flagged, and a floor on the sigma keeps near-constant
+    fold times (MAD ≈ 0) from turning microsecond jitter into alerts.
     """
 
     def __init__(self, window: int = 128, min_samples: int = 8,
@@ -120,18 +135,21 @@ class StragglerDetector:
             self._folds[shard] = self._folds.get(shard, 0) + 1
             z = None
             if len(self._samples) >= self.min_samples:
-                mean = sum(self._samples) / len(self._samples)
-                variance = (sum((value - mean) ** 2
-                                for value in self._samples)
-                            / len(self._samples))
-                sigma = max(math.sqrt(variance), self.min_sigma)
-                z = (seconds - mean) / sigma
+                median, sigma = self._robust_scale(self._samples)
+                z = (seconds - median) / sigma
                 self._last_z[shard] = z
             self._samples.append(seconds)
-            if z is not None and z >= self.z_threshold:
+            if (z is not None and z >= self.z_threshold
+                    and seconds >= STRAGGLER_MIN_RATIO * median):
                 self._flagged[shard] = self._flagged.get(shard, 0) + 1
                 return z
             return None
+
+    def _robust_scale(self, samples) -> tuple[float, float]:
+        """``(median, MAD-based sigma floored at min_sigma)``."""
+        median = statistics.median(samples)
+        mad = statistics.median(abs(value - median) for value in samples)
+        return median, max(MAD_TO_SIGMA * mad, self.min_sigma)
 
     def stats(self) -> dict:
         """Window summary + per-shard fold/straggler counts."""
@@ -140,13 +158,11 @@ class StragglerDetector:
             flagged = dict(self._flagged)
             folds = dict(self._folds)
             last_z = dict(self._last_z)
-        mean = sum(samples) / len(samples) if samples else 0.0
-        sigma = (math.sqrt(sum((value - mean) ** 2
-                               for value in samples) / len(samples))
-                 if samples else 0.0)
+        median, sigma = (self._robust_scale(samples) if samples
+                         else (0.0, 0.0))
         return {
             "window": len(samples),
-            "mean_seconds": mean,
+            "median_seconds": median,
             "sigma_seconds": sigma,
             "z_threshold": self.z_threshold,
             "per_shard": [
@@ -472,6 +488,12 @@ class ShardRouter:
     def straggler_stats(self) -> dict:
         """The straggler detector's window + per-shard flag counts."""
         return self.straggler_detector.stats()
+
+    def _robust_scale(self, samples) -> tuple[float, float]:
+        """``(median, MAD-based sigma floored at min_sigma)``."""
+        median = statistics.median(samples)
+        mad = statistics.median(abs(value - median) for value in samples)
+        return median, max(MAD_TO_SIGMA * mad, self.min_sigma)
 
     def stats(self) -> dict:
         """Executor-shaped snapshot plus a per-shard breakdown."""

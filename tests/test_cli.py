@@ -65,16 +65,14 @@ class TestParser:
             ["query", "source", "youtube", "0"])
         assert args.alpha == 0.01
         assert args.kind == "source"
-        assert args.push_backend == "vectorized"
 
-    def test_push_backend_choices(self):
-        args = build_parser().parse_args(
-            ["query", "source", "youtube", "0", "--push-backend", "scalar"])
-        assert args.push_backend == "scalar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["query", "source", "youtube", "0",
-                 "--push-backend", "cuda"])
+    def test_push_backend_flag_rejected(self):
+        # the push kernel is no longer selectable: one kernel serves all
+        for argv in (["query", "source", "youtube", "0"], ["selfcheck"],
+                     ["serve"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--push-backend",
+                                                  "vectorized"])
 
     def test_serve_observability_flags(self):
         args = build_parser().parse_args(
@@ -289,7 +287,7 @@ class TestCommands:
         assert main(["selfcheck", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "self-check passed" in out
-        assert out.count("[ok]") == 5
+        assert out.count("[ok]") == 4
 
     def test_selfcheck_output_worker_invariant(self, capsys):
         assert main(["selfcheck", "--seed", "7", "--workers", "1"]) == 0
@@ -593,13 +591,6 @@ class TestGoldenOutput:
         assert main(["trace", "summarize", fixture]) == 0
         _assert_matches_golden("trace_summarize.txt",
                                capsys.readouterr().out)
-
-    def test_scalar_backend_prints_identical_query(self, capsys):
-        """The backend flag must not change a single printed byte."""
-        assert main(self.QUERY_SOURCE) == 0
-        vectorized = _scrub(capsys.readouterr().out)
-        assert main(self.QUERY_SOURCE + ["--push-backend", "scalar"]) == 0
-        assert _scrub(capsys.readouterr().out) == vectorized
 
     def test_index_build_dynamic_then_mutate(self, capsys, tmp_path,
                                              monkeypatch):

@@ -1,28 +1,28 @@
-"""Cross-backend push equivalence: scalar vs vectorized sweep kernels.
+"""Push equivalence: the vectorized scatter vs the scalar test oracle.
 
-Both backends run the same synchronous frontier sweeps and differ only
-in how one sweep's residual mass is scattered, so every output —
-reserve, residual, ``num_pushes``, ``num_sweeps``, ``frontier_sizes``
-— must agree (values to ≤1e-12; counters exactly) across alphas,
-weighted/directed graphs, and end-to-end queries.
+Each case runs the production sweep drivers twice: once as shipped,
+once with the node-at-a-time scatters of ``tests/push_oracle.py``
+patched in.  The frontier schedule is shared, so only one sweep's
+scatter differs, and every output — reserve, residual, ``num_pushes``,
+``num_sweeps``, ``frontier_sizes`` — must agree (values to ≤1e-12;
+counters exactly) across alphas, weighted/directed graphs, and
+end-to-end queries.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import PPRConfig, single_source, single_target
-from repro.exceptions import ConfigError
 from repro.graph import from_edges
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.push import (
-    DEFAULT_PUSH_BACKEND,
-    PUSH_BACKENDS,
     backward_push,
     balanced_forward_push,
     forward_push,
     power_push,
 )
-from repro.push.kernels import validate_push_backend
+from repro.service import ServiceConfig
+from tests.push_oracle import scalar_scatter
 
 ALPHAS = [0.1, 0.2, 0.5]
 TOLERANCE = 1e-12
@@ -44,7 +44,17 @@ def _graphs():
 GRAPHS = _graphs()
 
 
-def _assert_equivalent(vectorized, scalar):
+def _against_oracle(run, *args, **kwargs):
+    """``(production, oracle)`` results of ``run(*args, **kwargs)``."""
+    vectorized = run(*args, **kwargs)
+    with scalar_scatter() as calls:
+        scalar = run(*args, **kwargs)
+    assert calls, "the oracle scatter never ran"
+    return vectorized, scalar
+
+
+def _assert_equivalent(run, *args):
+    vectorized, scalar = _against_oracle(run, *args)
     assert np.abs(vectorized.reserve - scalar.reserve).max() <= TOLERANCE
     assert np.abs(vectorized.residual - scalar.residual).max() <= TOLERANCE
     assert vectorized.num_pushes == scalar.num_pushes
@@ -58,52 +68,35 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("label,graph", GRAPHS)
     def test_forward(self, label, graph, alpha):
         for seed_node in (0, 3):
-            _assert_equivalent(
-                forward_push(graph, seed_node, alpha, 1e-4,
-                             backend="vectorized"),
-                forward_push(graph, seed_node, alpha, 1e-4,
-                             backend="scalar"))
+            _assert_equivalent(forward_push, graph, seed_node, alpha, 1e-4)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("label,graph", GRAPHS)
     def test_balanced_forward(self, label, graph, alpha):
-        _assert_equivalent(
-            balanced_forward_push(graph, 1, alpha, 1e-4,
-                                  backend="vectorized"),
-            balanced_forward_push(graph, 1, alpha, 1e-4,
-                                  backend="scalar"))
+        _assert_equivalent(balanced_forward_push, graph, 1, alpha, 1e-4)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("label,graph", GRAPHS)
     def test_backward(self, label, graph, alpha):
-        _assert_equivalent(
-            backward_push(graph, 2, alpha, 1e-4, backend="vectorized"),
-            backward_push(graph, 2, alpha, 1e-4, backend="scalar"))
+        _assert_equivalent(backward_push, graph, 2, alpha, 1e-4)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_power_push(self, alpha):
         graph = GRAPHS[0][1]
-        _assert_equivalent(
-            power_push(graph, 0, alpha, 1e-3, backend="vectorized"),
-            power_push(graph, 0, alpha, 1e-3, backend="scalar"))
+        _assert_equivalent(power_push, graph, 0, alpha, 1e-3)
 
     @pytest.mark.parametrize("label,graph", GRAPHS)
     def test_sweep_accounting(self, label, graph):
-        push = balanced_forward_push(graph, 0, 0.2, 1e-4,
-                                     backend="vectorized")
+        push = balanced_forward_push(graph, 0, 0.2, 1e-4)
         assert sum(push.frontier_sizes) == push.num_pushes
         assert len(push.frontier_sizes) == push.num_sweeps
         assert push.peak_frontier == max(push.frontier_sizes)
 
     def test_dangling_nodes(self, directed_line):
         # node 2 has out-degree 0: its residual must be absorbed, not
-        # pushed, identically in both backends
+        # pushed, identically by the kernel and the oracle
         for alpha in ALPHAS:
-            _assert_equivalent(
-                forward_push(directed_line, 0, alpha, 1e-6,
-                             backend="vectorized"),
-                forward_push(directed_line, 0, alpha, 1e-6,
-                             backend="scalar"))
+            _assert_equivalent(forward_push, directed_line, 0, alpha, 1e-6)
 
 
 class TestEndToEnd:
@@ -112,22 +105,16 @@ class TestEndToEnd:
 
     def test_foralv_scalar_matches_vectorized(self):
         graph = GRAPHS[0][1]
-        results = {
-            backend: single_source(graph, 0, method="foralv", alpha=0.2,
-                                   seed=99, push_backend=backend)
-            for backend in PUSH_BACKENDS}
-        vec, sca = results["vectorized"], results["scalar"]
+        vec, sca = _against_oracle(single_source, graph, 0,
+                                   method="foralv", alpha=0.2, seed=99)
         assert np.abs(vec.estimates - sca.estimates).max() <= TOLERANCE
         assert vec.stats["work_pushes"] == sca.stats["work_pushes"]
         assert vec.stats["work_push_sweeps"] == sca.stats["work_push_sweeps"]
 
     def test_backlv_scalar_matches_vectorized(self):
         graph = GRAPHS[0][1]
-        results = {
-            backend: single_target(graph, 1, method="backlv", alpha=0.2,
-                                   seed=99, push_backend=backend)
-            for backend in PUSH_BACKENDS}
-        vec, sca = results["vectorized"], results["scalar"]
+        vec, sca = _against_oracle(single_target, graph, 1,
+                                   method="backlv", alpha=0.2, seed=99)
         assert np.abs(vec.estimates - sca.estimates).max() <= TOLERANCE
         assert vec.stats["work_pushes"] == sca.stats["work_pushes"]
 
@@ -140,23 +127,18 @@ class TestEndToEnd:
 
 
 class TestValidation:
-    def test_backends_registry(self):
-        assert DEFAULT_PUSH_BACKEND in PUSH_BACKENDS
-        for backend in PUSH_BACKENDS:
-            validate_push_backend(backend)
+    """The ``push_backend`` knob is gone: asking for it is an error."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            validate_push_backend("simd")
+    def test_config_has_no_push_backend(self):
+        with pytest.raises(TypeError):
+            PPRConfig(push_backend="vectorized")
+        with pytest.raises(TypeError):
+            ServiceConfig(push_backend="vectorized")
 
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ConfigError):
-            PPRConfig(push_backend="gpu")
-
-    def test_push_functions_reject_unknown_backend(self, k5):
-        with pytest.raises(ConfigError):
-            forward_push(k5, 0, 0.2, 1e-3, backend="nope")
-        with pytest.raises(ConfigError):
-            backward_push(k5, 0, 0.2, 1e-3, backend="nope")
-        with pytest.raises(ConfigError):
-            power_push(k5, 0, 0.2, 1e-2, backend="nope")
+    def test_push_functions_take_no_backend(self, k5):
+        with pytest.raises(TypeError):
+            forward_push(k5, 0, 0.2, 1e-3, backend="vectorized")
+        with pytest.raises(TypeError):
+            backward_push(k5, 0, 0.2, 1e-3, backend="vectorized")
+        with pytest.raises(TypeError):
+            power_push(k5, 0, 0.2, 1e-2, backend="vectorized")

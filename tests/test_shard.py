@@ -378,6 +378,21 @@ class TestStragglerDetector:
         # the slow fold cannot dilute its own baseline
         assert detector.observe(1, 0.5) is not None
 
+    def test_small_absolute_slowdown_not_flagged(self):
+        detector = StragglerDetector()
+        for index in range(40):
+            # near-constant 1 ms folds: the spread is microseconds
+            detector.observe(index % 2, 0.001 + (index % 5) * 1e-6)
+        # 0.4 ms of scheduling noise is a large z-score against such a
+        # tight window, but far below the minimum slowdown ratio
+        assert detector.observe(0, 0.0014) is None
+        z = detector.observe(1, 0.001 + 0.75)
+        assert z is not None and z >= detector.z_threshold
+        rows = {row["shard"]: row
+                for row in detector.stats()["per_shard"]}
+        assert rows[0]["straggler_folds"] == 0
+        assert rows[1]["straggler_folds"] == 1
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="window"):
             StragglerDetector(window=1)
