@@ -6,17 +6,19 @@ docs/OBSERVABILITY.md for the full model):
 - :mod:`repro.obs.tracing` — request ids, head-sampled per-request
   span trees with cross-process stitching over the executor's worker
   pipes, and a bounded ring of finished traces;
-- :mod:`repro.obs.histogram` — fixed log-spaced-bucket latency
-  histograms with lock-cheap per-thread shards, one per pipeline
-  stage, rendered in Prometheus histogram text format;
+- :mod:`repro.obs.histogram` — the one fixed-bucket
+  :class:`~repro.obs.histogram.Histogram` (since-boot counts plus an
+  optional per-tick ring for rolling windows), rendered in Prometheus
+  histogram text format;
 - :mod:`repro.obs.slowlog` — a structured JSON-lines slow-query log
   (threshold-admitted, errors always sampled) carrying the span tree
   and work counters of each offending request;
 - :mod:`repro.obs.profiler` — an opt-in sampling profiler dumping
   collapsed stacks for flamegraphs (``--profile``);
 - :mod:`repro.obs.timeseries` — fixed-interval ring-buffer series
-  (counters, gauges, histogram windows) answering "over the last N
-  seconds" questions with bounded memory and no background threads;
+  (counters, gauges, and a registry of windowed histograms)
+  answering "over the last N seconds" questions with bounded memory
+  and no background threads;
 - :mod:`repro.obs.slo` — declarative availability/latency SLOs
   evaluated with multi-window burn-rate alerting on top of the
   rolling series.
@@ -31,8 +33,8 @@ same code path as sampled ones.
 from repro.obs.histogram import (
     DEFAULT_BUCKETS,
     STAGES,
-    HistogramRegistry,
-    LatencyHistogram,
+    Histogram,
+    bucket_quantile,
     exact_quantile,
 )
 from repro.obs.profiler import SamplingProfiler
@@ -41,7 +43,6 @@ from repro.obs.slowlog import SlowLog, read_slowlog, summarize_entries
 from repro.obs.timeseries import (
     RollingCounter,
     RollingGauge,
-    RollingHistogram,
     TimeSeriesStore,
 )
 from repro.obs.tracing import (
@@ -57,15 +58,13 @@ from repro.obs.tracing import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "HistogramRegistry",
-    "LatencyHistogram",
+    "Histogram",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullSpan",
     "NullTracer",
     "RollingCounter",
     "RollingGauge",
-    "RollingHistogram",
     "SamplingProfiler",
     "SLOEngine",
     "SLOSpec",
@@ -75,6 +74,7 @@ __all__ = [
     "Span",
     "TimeSeriesStore",
     "Tracer",
+    "bucket_quantile",
     "chrome_trace_events",
     "default_specs",
     "exact_quantile",

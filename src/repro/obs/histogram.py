@@ -1,35 +1,40 @@
-r"""Fixed-bucket latency histograms with lock-cheap per-thread shards.
+r"""Fixed-bucket histograms: one class behind every bucketed series.
 
-The p50/p99 ring the service shipped with answers "how slow are
-requests lately", but a ring cannot be merged across scrapes, cannot
-express tail shape beyond two pinned quantiles, and every ``record``
-contends one lock.  Prometheus-style fixed-bucket histograms fix all
-three: bucket counts are additive (across threads, scrapes, and
-restarts), any quantile is recoverable to bucket resolution, and the
-fixed layout makes recording a bisect + increment.
+Prometheus-style fixed-bucket histograms are additive (across threads,
+scrapes, and restarts), recover any quantile to bucket resolution, and
+make recording a bisect + increment.  :class:`Histogram` is the only
+bucketed structure in the serving stack: end-to-end and per-tenant
+latency, per-stage latency, per-shard fold time, and batch sizes.
 
-Sharding: each recording thread owns a private shard (bucket counts +
-sum) guarded by its own lock.  The shard lock is effectively
-uncontended — only the owning thread records into it; the aggregating
-reader takes each shard lock briefly at snapshot time — so the hot
-path cost is one uncontended acquire, a bisect over ~20 bounds, and
-two increments.  Shards are kept alive in the histogram's registry
-after their thread dies, so counts from short-lived HTTP connection
-threads are never lost.
+Each histogram keeps since-boot bucket counts and sum.  Constructed
+with a ``capacity``, it also keeps a ring of per-tick bucket counts
+(one tick = ``interval`` seconds), so a rolling window ("p99 over the
+last 60 s") is a read over the same object rather than a second
+structure fed the same observations.  Histograms that are never read
+through a window are built without a ring and allocate none.
 
-Bucket bounds are log-spaced (1–2.5–5 per decade) from 10 µs to 10 s,
-matching the dynamic range between a cache hit and a worst-case cold
-fold.  All ``le`` labels are rendered exactly as Prometheus expects
-(cumulative, closed upper bounds, trailing ``+Inf``).
+One lock per histogram guards both the since-boot counts and the
+ring; recording holds it for a few list increments.  Two functions
+turn counts into numbers — :func:`bucket_quantile` and
+:func:`cumulative_snapshot` — and every since-boot and windowed read
+goes through them, so ``/metrics``, ``/statusz`` and the tenant and
+shard tables agree on what "p99" means.
+
+Latency bucket bounds are log-spaced (1–2.5–5 per decade) from 10 µs
+to 10 s, matching the dynamic range between a cache hit and a
+worst-case cold fold.  All ``le`` labels are rendered exactly as
+Prometheus expects (cumulative, closed upper bounds, trailing
+``+Inf``).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from bisect import bisect_left
 
-__all__ = ["DEFAULT_BUCKETS", "STAGES", "LatencyHistogram",
-           "HistogramRegistry", "exact_quantile", "format_le"]
+__all__ = ["DEFAULT_BUCKETS", "STAGES", "Histogram", "bucket_quantile",
+           "cumulative_snapshot", "exact_quantile", "format_le"]
 
 #: Upper bucket bounds in seconds: 1–2.5–5 per decade, 10 µs … 10 s.
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(
@@ -52,10 +57,10 @@ def exact_quantile(values, q: float) -> float:
     """Nearest-rank quantile of raw samples; ``0.0`` when empty.
 
     The one sample-based quantile used everywhere raw latencies are
-    at hand (loadgen reports, slow-log summaries, per-tenant tables),
-    so every surface agrees on what "p99" means.  Bucketed series use
-    :meth:`LatencyHistogram.quantile` instead — same convention, one
-    bucket of resolution.
+    at hand (loadgen reports, slow-log summaries), so every surface
+    agrees on what "p99" means.  Bucketed series use
+    :func:`bucket_quantile` instead — same convention, one bucket of
+    resolution.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
@@ -67,136 +72,142 @@ def exact_quantile(values, q: float) -> float:
     return float(ordered[index])
 
 
-class _Shard:
-    """One thread's private counts; the owner records, readers sum."""
+def bucket_quantile(bounds, counts, q: float) -> float:
+    """Upper bound of the bucket holding the ``q``-quantile.
 
-    __slots__ = ("lock", "counts", "sum")
+    ``counts`` holds one count per bound plus a trailing ``+Inf``
+    overflow count.  Resolution is one bucket (≤ 2.5× for the latency
+    layout); ``q = 0`` reports the lowest non-empty bucket, overflow
+    observations report the largest finite bound, and an empty
+    histogram reports ``0.0``.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    target = q * sum(counts)
+    running = 0
+    for bound, value in zip(bounds, counts):
+        running += value
+        if value and running >= target:
+            return bound
+    return bounds[-1] if counts[-1] else 0.0
 
-    def __init__(self, num_buckets: int):
-        self.lock = threading.Lock()
-        self.counts = [0] * num_buckets
-        self.sum = 0.0
+
+def cumulative_snapshot(bounds, counts, total: float) -> dict:
+    """``{"buckets": [(le, cumulative), ...], "sum": .., "count": ..}``
+
+    Buckets are cumulative with a trailing ``("+Inf", count)`` entry,
+    exactly the Prometheus histogram exposition shape.
+    """
+    cumulative: list[tuple[str, int]] = []
+    running = 0
+    for bound, value in zip(bounds, counts):
+        running += value
+        cumulative.append((format_le(bound), running))
+    cumulative.append(("+Inf", running + counts[-1]))
+    return {"buckets": cumulative, "sum": total,
+            "count": running + counts[-1]}
 
 
-class LatencyHistogram:
-    """Cumulative-bucket histogram over log-spaced latency buckets.
+def tick_window(interval: float, capacity: int, window_s: float,
+                now: float | None) -> tuple[int, int]:
+    """``(first, current)`` tick numbers a trailing window covers.
 
-    ``observe`` is safe from any thread and cheap (per-thread shard,
-    uncontended lock); ``snapshot`` folds every shard into one
-    Prometheus-ready view.
+    A window of ``w`` seconds covers the current (partial) tick plus
+    enough whole ticks to span ``w``, clamped to the ring capacity.
+    ``now`` defaults to the monotonic clock.
+    """
+    current = int((time.monotonic() if now is None else now) // interval)
+    ticks = min(capacity, max(1, -int(-float(window_s) // interval)))
+    return current - ticks + 1, current
+
+
+class Histogram:
+    """Fixed-bucket histogram: since-boot counts plus an optional ring.
+
+    ``observe`` is safe from any thread.  With ``capacity`` > 0 every
+    observation also lands in the current tick's ring slot, and the
+    reads (:meth:`counts`, :meth:`count`, :meth:`quantile`,
+    :meth:`snapshot`) accept ``window_s`` to cover only the trailing
+    window.  Ticks advance lazily — a write to a stale slot resets it,
+    reads skip slots stamped outside the window — so there is no
+    background thread and memory is bounded by ``capacity``.  Every
+    method takes an optional ``now`` (monotonic seconds) so tests can
+    drive the clock.
     """
 
-    def __init__(self, bounds: tuple[float, ...] = DEFAULT_BUCKETS):
+    def __init__(self, bounds: tuple[float, ...] = DEFAULT_BUCKETS, *,
+                 interval: float = 1.0, capacity: int = 0):
         if not bounds or list(bounds) != sorted(bounds):
             raise ValueError("bounds must be a non-empty ascending tuple")
-        self.bounds = tuple(float(bound) for bound in bounds)
-        self._num_buckets = len(self.bounds) + 1  # trailing +Inf
-        self._local = threading.local()
-        self._shards: list[_Shard] = []
-        self._shards_lock = threading.Lock()
+        if interval <= 0:
+            raise ValueError(f"interval must be > 0, got {interval}")
+        if capacity == 1 or capacity < 0:
+            raise ValueError(f"capacity must be 0 or >= 2, got {capacity}")
+        self.bounds = tuple(bounds)
+        self.interval = float(interval)
+        self.capacity = int(capacity)
+        self._counts = [0] * (len(self.bounds) + 1)  # trailing +Inf
+        # 0 for integer bounds (batch sizes), 0.0 for latency bounds
+        self._sum = self.bounds[0] * 0
+        self._lock = threading.Lock()
+        # ring slots are [tick, counts, sum], allocated on first write
+        self._slots: list[list | None] = [None] * self.capacity
 
-    def _shard(self) -> _Shard:
-        shard = getattr(self._local, "shard", None)
-        if shard is None:
-            shard = _Shard(self._num_buckets)
-            with self._shards_lock:
-                self._shards.append(shard)
-            self._local.shard = shard
-        return shard
+    def observe(self, value: float, now: float | None = None) -> None:
+        """Record one observation (thread-safe)."""
+        index = bisect_left(self.bounds, value)
+        with self._lock:
+            self._counts[index] += 1
+            self._sum += value
+            if self.capacity:
+                tick = int((time.monotonic() if now is None else now)
+                           // self.interval)
+                slot = self._slots[tick % self.capacity]
+                if slot is None or slot[0] != tick:
+                    slot = [tick, [0] * len(self._counts), 0.0]
+                    self._slots[tick % self.capacity] = slot
+                slot[1][index] += 1
+                slot[2] += value
 
-    def observe(self, seconds: float) -> None:
-        """Record one latency observation (thread-safe, lock-cheap)."""
-        index = bisect_left(self.bounds, seconds)
-        shard = self._shard()
-        with shard.lock:
-            shard.counts[index] += 1
-            shard.sum += seconds
+    def counts(self, window_s: float | None = None,
+               now: float | None = None) -> tuple[list[int], float]:
+        """Bucket counts (trailing ``+Inf`` included) and their sum.
 
-    # ------------------------------------------------------------------
-    def _totals(self) -> tuple[list[int], float]:
-        with self._shards_lock:
-            shards = list(self._shards)
-        counts = [0] * self._num_buckets
+        Since boot when ``window_s`` is ``None``; otherwise merged over
+        the ring slots inside the trailing window, which needs a ring.
+        """
+        if window_s is None:
+            with self._lock:
+                return list(self._counts), self._sum
+        if not self.capacity:
+            raise ValueError("windowed reads need a histogram built "
+                             "with capacity > 0")
+        first, current = tick_window(self.interval, self.capacity,
+                                     window_s, now)
+        counts = [0] * len(self._counts)
         total = 0.0
-        for shard in shards:
-            with shard.lock:
-                for index, value in enumerate(shard.counts):
-                    counts[index] += value
-                total += shard.sum
+        with self._lock:
+            for slot in self._slots:
+                if slot is not None and first <= slot[0] <= current:
+                    for index, value in enumerate(slot[1]):
+                        counts[index] += value
+                    total += slot[2]
         return counts, total
 
-    @property
-    def count(self) -> int:
-        """Total observations across every shard."""
-        return sum(self._totals()[0])
+    def count(self, window_s: float | None = None,
+              now: float | None = None) -> int:
+        """Number of observations (since boot or over the window)."""
+        return sum(self.counts(window_s, now)[0])
 
-    def snapshot(self) -> dict:
-        """``{"buckets": [(le, cumulative), ...], "sum": .., "count": ..}``
+    def quantile(self, q: float, window_s: float | None = None,
+                 now: float | None = None) -> float:
+        """Bucket-resolution ``q``-quantile, see :func:`bucket_quantile`."""
+        return bucket_quantile(self.bounds, self.counts(window_s, now)[0],
+                               q)
 
-        Buckets are cumulative with a trailing ``("+Inf", count)``
-        entry, exactly the Prometheus histogram exposition shape.
-        """
-        counts, total = self._totals()
-        cumulative: list[tuple[str, int]] = []
-        running = 0
-        for bound, value in zip(self.bounds, counts):
-            running += value
-            cumulative.append((format_le(bound), running))
-        cumulative.append(("+Inf", running + counts[-1]))
-        return {"buckets": cumulative, "sum": total,
-                "count": running + counts[-1]}
-
-    def quantile(self, q: float) -> float:
-        """Upper bound of the bucket holding the ``q``-quantile.
-
-        Resolution is one bucket (≤ 2.5× by construction); overflow
-        observations report the largest finite bound.  ``0.0`` when
-        empty — the same convention the latency ring used.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        counts, _ = self._totals()
-        total = sum(counts)
-        if total == 0:
-            return 0.0
-        target = q * total
-        running = 0
-        for bound, value in zip(self.bounds, counts):
-            running += value
-            if running >= target:
-                return bound
-        return self.bounds[-1]
-
-
-class HistogramRegistry:
-    """Named per-stage histograms sharing one bucket layout.
-
-    The registry is created with its full stage list up front, so the
-    hot path (``observe``) is a plain dict lookup — no locking, no
-    lazy creation — and the exposition order is stable.
-    """
-
-    def __init__(self, stages: tuple[str, ...] = STAGES,
-                 bounds: tuple[float, ...] = DEFAULT_BUCKETS):
-        self.bounds = tuple(bounds)
-        self._histograms: dict[str, LatencyHistogram] = {
-            stage: LatencyHistogram(self.bounds) for stage in stages}
-
-    @property
-    def stages(self) -> tuple[str, ...]:
-        return tuple(self._histograms)
-
-    def observe(self, stage: str, seconds: float) -> None:
-        """Record one observation for ``stage`` (unknown stage raises)."""
-        self._histograms[stage].observe(seconds)
-
-    def histogram(self, stage: str) -> LatencyHistogram:
-        return self._histograms[stage]
-
-    def snapshot(self) -> dict[str, dict]:
-        """``{stage: histogram snapshot}`` for every stage, in order."""
-        return {stage: hist.snapshot()
-                for stage, hist in self._histograms.items()}
-
-    def quantile(self, stage: str, q: float) -> float:
-        return self._histograms[stage].quantile(q)
+    def snapshot(self, window_s: float | None = None,
+                 now: float | None = None) -> dict:
+        """Prometheus-shaped cumulative view, see
+        :func:`cumulative_snapshot`."""
+        counts, total = self.counts(window_s, now)
+        return cumulative_snapshot(self.bounds, counts, total)

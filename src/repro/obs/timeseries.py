@@ -17,42 +17,40 @@ Design constraints, shared with the rest of :mod:`repro.obs`:
   stamp falls outside the requested window.  Nothing ever needs to
   "expire" data on a timer, which keeps the module fork-safe — a
   forked child inherits plain lists and a lock, never a thread.
-- **bounded memory.**  A series allocates ``capacity`` slots up front
-  and never grows, regardless of traffic or uptime.
+- **bounded memory.**  A series never holds more than ``capacity``
+  slots, regardless of traffic or uptime.
 - **deterministic tests.**  Every mutating and reading method takes
   an optional ``now`` (seconds, monotonic); production callers omit
   it, tests pass explicit timestamps and never sleep.
 
-Three series kinds cover the service's needs:
+Two series kinds live here; windowed latency is a read over the
+shared :class:`~repro.obs.histogram.Histogram`:
 
 - :class:`RollingCounter` — monotone events per tick (requests,
   errors, SLO good/bad events); windowed ``total`` and ``rate``.
 - :class:`RollingGauge` — last-write-wins samples per tick (queue
   depth); windowed ``mean`` / ``max`` and the latest sample.
-- :class:`RollingHistogram` — per-tick bucket counts over the shared
-  log-spaced latency bounds; windowed quantiles by merging the live
-  ticks into one :class:`~repro.obs.histogram.LatencyHistogram`-shaped
-  count vector.
 
 :class:`TimeSeriesStore` is the named registry ``ServiceMetrics``
-owns; its :meth:`~TimeSeriesStore.window_snapshot` is the substrate
-for ``/statusz``, ``repro top`` and ``repro obs report``.
+owns; its :meth:`~TimeSeriesStore.histogram` hands out ring-carrying
+:class:`~repro.obs.histogram.Histogram` objects, and its
+:meth:`~TimeSeriesStore.window_snapshot` is the substrate for
+``/statusz``, ``repro top`` and ``repro obs report``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left
 
-from repro.obs.histogram import DEFAULT_BUCKETS, format_le
+from repro.obs.histogram import (
+    DEFAULT_BUCKETS,
+    Histogram,
+    bucket_quantile,
+    tick_window,
+)
 
-__all__ = ["RollingCounter", "RollingGauge", "RollingHistogram",
-           "TimeSeriesStore"]
-
-
-def _monotonic() -> float:
-    return time.monotonic()
+__all__ = ["RollingCounter", "RollingGauge", "TimeSeriesStore"]
 
 
 class _Series:
@@ -75,20 +73,17 @@ class _Series:
         return self.interval * self.capacity
 
     def _tick(self, now: float | None) -> int:
-        return int((now if now is not None else _monotonic())
+        return int((now if now is not None else time.monotonic())
                    // self.interval)
 
     def _live_slots(self, window_s: float, now: float | None):
         """Yield slot indexes whose stamp lies inside the window.
 
-        The caller must hold ``self._lock``.  A window of ``w`` seconds
-        covers the current (partial) tick plus enough whole ticks to
-        span ``w``, clamped to the ring capacity.
+        The caller must hold ``self._lock``; the window arithmetic is
+        :func:`~repro.obs.histogram.tick_window`.
         """
-        current = self._tick(now)
-        ticks = min(self.capacity,
-                    max(1, -int(-float(window_s) // self.interval)))
-        first = current - ticks + 1
+        first, current = tick_window(self.interval, self.capacity,
+                                     window_s, now)
         for slot, stamp in enumerate(self._ticks):
             if stamp is not None and first <= stamp <= current:
                 yield slot
@@ -162,82 +157,6 @@ class RollingGauge(_Series):
         return max(values) if values else 0.0
 
 
-class RollingHistogram(_Series):
-    """Windowed latency distribution: per-tick bucket count vectors.
-
-    Buckets share the service-wide log-spaced bounds so a windowed
-    snapshot merges with the since-boot histograms bucket-for-bucket.
-    """
-
-    def __init__(self, interval: float = 1.0, capacity: int = 360,
-                 bounds: tuple[float, ...] = DEFAULT_BUCKETS):
-        super().__init__(interval, capacity)
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError("bounds must be a non-empty ascending tuple")
-        self.bounds = tuple(float(bound) for bound in bounds)
-        self._num_buckets = len(self.bounds) + 1
-        self._counts = [[0] * self._num_buckets
-                        for _ in range(self.capacity)]
-        self._sums = [0.0] * self.capacity
-
-    def observe(self, seconds: float, now: float | None = None) -> None:
-        index = bisect_left(self.bounds, seconds)
-        tick = self._tick(now)
-        slot = tick % self.capacity
-        with self._lock:
-            if self._ticks[slot] != tick:
-                self._ticks[slot] = tick
-                self._counts[slot] = [0] * self._num_buckets
-                self._sums[slot] = 0.0
-            self._counts[slot][index] += 1
-            self._sums[slot] += seconds
-
-    def _merged(self, window_s: float,
-                now: float | None) -> tuple[list[int], float]:
-        counts = [0] * self._num_buckets
-        total = 0.0
-        with self._lock:
-            for slot in self._live_slots(window_s, now):
-                slot_counts = self._counts[slot]
-                for index in range(self._num_buckets):
-                    counts[index] += slot_counts[index]
-                total += self._sums[slot]
-        return counts, total
-
-    def count(self, window_s: float, now: float | None = None) -> int:
-        return sum(self._merged(window_s, now)[0])
-
-    def quantile(self, q: float, window_s: float,
-                 now: float | None = None) -> float:
-        """Bucket-resolution quantile over the trailing window."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        counts, _ = self._merged(window_s, now)
-        total = sum(counts)
-        if total == 0:
-            return 0.0
-        target = q * total
-        running = 0
-        for bound, value in zip(self.bounds, counts):
-            running += value
-            if running >= target:
-                return bound
-        return self.bounds[-1]
-
-    def snapshot(self, window_s: float,
-                 now: float | None = None) -> dict:
-        """Prometheus-shaped cumulative view of the trailing window."""
-        counts, total = self._merged(window_s, now)
-        cumulative: list[tuple[str, int]] = []
-        running = 0
-        for bound, value in zip(self.bounds, counts):
-            running += value
-            cumulative.append((format_le(bound), running))
-        cumulative.append(("+Inf", running + counts[-1]))
-        return {"buckets": cumulative, "sum": total,
-                "count": running + counts[-1]}
-
-
 class TimeSeriesStore:
     """Named registry of rolling series with one clock and layout.
 
@@ -258,7 +177,7 @@ class TimeSeriesStore:
         self._lock = threading.Lock()
         self._counters: dict[str, RollingCounter] = {}
         self._gauges: dict[str, RollingGauge] = {}
-        self._histograms: dict[str, RollingHistogram] = {}
+        self._histograms: dict[str, Histogram] = {}
 
     def span_seconds(self) -> float:
         return self.interval * self.capacity
@@ -279,12 +198,13 @@ class TimeSeriesStore:
                 self._gauges[name] = series
             return series
 
-    def histogram(self, name: str) -> RollingHistogram:
+    def histogram(self, name: str) -> Histogram:
+        """The ring-carrying histogram ``name`` (created on first use)."""
         with self._lock:
             series = self._histograms.get(name)
             if series is None:
-                series = RollingHistogram(self.interval, self.capacity,
-                                          self.bounds)
+                series = Histogram(self.bounds, interval=self.interval,
+                                   capacity=self.capacity)
                 self._histograms[name] = series
             return series
 
@@ -300,6 +220,9 @@ class TimeSeriesStore:
              "gauges": {name: {"latest": .., "mean": .., "max": ..}},
              "histograms": {name: {"count": .., "p50": ..,
                                    "p95": .., "p99": ..}}}
+
+        Histograms never observed since creation are left out, so a
+        series appears once it has seen data, as counters do.
         """
         with self._lock:
             counters = dict(self._counters)
@@ -318,9 +241,16 @@ class TimeSeriesStore:
                        "max": series.max(window_s, now)}
                 for name, series in sorted(gauges.items())},
             "histograms": {
-                name: {"count": series.count(window_s, now),
-                       "p50": series.quantile(0.50, window_s, now),
-                       "p95": series.quantile(0.95, window_s, now),
-                       "p99": series.quantile(0.99, window_s, now)}
-                for name, series in sorted(histograms.items())},
+                name: _window_row(series, window_s, now)
+                for name, series in sorted(histograms.items())
+                if series.count()},
         }
+
+
+def _window_row(series: Histogram, window_s: float,
+                now: float | None) -> dict:
+    counts, _ = series.counts(window_s, now)
+    return {"count": sum(counts),
+            "p50": bucket_quantile(series.bounds, counts, 0.50),
+            "p95": bucket_quantile(series.bounds, counts, 0.95),
+            "p99": bucket_quantile(series.bounds, counts, 0.99)}

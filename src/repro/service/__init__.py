@@ -15,8 +15,8 @@ and this package is that process, dependency-free (stdlib + NumPy):
 - :class:`~repro.service.cache.ResultCache` — ε-aware LRU (a tight
   answer serves any looser query) with hit/miss/eviction counters;
 - :class:`~repro.service.metrics.ServiceMetrics` — work counters,
-  latency quantile rings (end-to-end and per-batch fold), batch-size
-  histogram, Prometheus text;
+  fixed-bucket histograms (end-to-end, per-tenant, per-stage,
+  per-shard latency and batch sizes), Prometheus text;
 - :class:`~repro.service.executor.ProcessExecutor` — forked worker
   pool folding batches against shared-memory banks (zero-copy tasks,
   crash respawn, byte-identical answers to the in-process path);
@@ -35,11 +35,7 @@ from repro.service.cache import ResultCache, cache_key
 from repro.service.config import ServiceConfig
 from repro.service.executor import ExecutorError, ProcessExecutor
 from repro.service.index_manager import IndexManager, SharedIndexView
-from repro.service.metrics import (
-    BatchSizeHistogram,
-    LatencyRing,
-    ServiceMetrics,
-)
+from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import (
     MicroBatchScheduler,
     QueryRequest,
@@ -48,10 +44,8 @@ from repro.service.scheduler import (
 from repro.service.service import PPRService
 
 __all__ = [
-    "BatchSizeHistogram",
     "ExecutorError",
     "IndexManager",
-    "LatencyRing",
     "MicroBatchScheduler",
     "PPRService",
     "ProcessExecutor",

@@ -47,7 +47,7 @@ import urllib.request
 import numpy as np
 
 from repro.obs.exposition import check_exposition
-from repro.obs.histogram import exact_quantile
+from repro.obs.histogram import bucket_quantile, exact_quantile
 from repro.obs.tracing import new_request_id
 
 __all__ = ["build_requests", "parse_tenants", "run_load", "main"]
@@ -315,9 +315,9 @@ def shard_fold_report(base_url: str, shards: int) -> tuple[list, list]:
     """Per-shard fold-latency quantiles from the stage histograms.
 
     Scrapes ``/metrics`` and reads the cumulative buckets of
-    ``repro_service_shard_fold_seconds{shard="k"}``; the reported p99
-    is the upper bound of the first bucket covering the 0.99 mass —
-    the same resolution Prometheus' ``histogram_quantile`` has.
+    ``repro_service_shard_fold_seconds{shard="k"}``; the reported
+    quantiles are :func:`~repro.obs.histogram.bucket_quantile` over
+    the scraped counts, the number the server's shard table reports.
     Returns ``(rows, failures)`` where ``rows`` holds one
     ``{"shard", "count", "p50_seconds", "p99_seconds"}`` dict per shard
     and ``failures`` lists shards whose histogram is missing or empty.
@@ -336,13 +336,6 @@ def shard_fold_report(base_url: str, shards: int) -> tuple[list, list]:
         bound = float("inf") if le == "+Inf" else float(le)
         buckets.setdefault(shard, []).append((bound, float(value)))
 
-    def quantile(cumulative: list[tuple[float, float]], q: float) -> float:
-        total = cumulative[-1][1]
-        for bound, count in cumulative:
-            if count >= q * total:
-                return bound
-        return cumulative[-1][0]
-
     rows, failures = [], []
     for shard in range(shards):
         if shard not in buckets or not buckets[shard][-1][1]:
@@ -350,11 +343,14 @@ def shard_fold_report(base_url: str, shards: int) -> tuple[list, list]:
                 f"shard {shard} fold histogram missing or zero")
             continue
         cumulative = sorted(buckets[shard])
+        bounds = [bound for bound, _ in cumulative[:-1]]  # drop +Inf
+        totals = [count for _, count in cumulative]
+        counts = [high - low for low, high in zip([0.0] + totals, totals)]
         rows.append({
             "shard": shard,
-            "count": int(cumulative[-1][1]),
-            "p50_seconds": quantile(cumulative, 0.50),
-            "p99_seconds": quantile(cumulative, 0.99),
+            "count": int(totals[-1]),
+            "p50_seconds": bucket_quantile(bounds, counts, 0.50),
+            "p99_seconds": bucket_quantile(bounds, counts, 0.99),
         })
     return rows, failures
 

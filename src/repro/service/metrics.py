@@ -1,4 +1,4 @@
-"""Service metrics: stage histograms, work counters, Prometheus text.
+"""Service metrics: latency histograms, work counters, Prometheus text.
 
 The serving layer reports three kinds of numbers:
 
@@ -8,14 +8,18 @@ The serving layer reports three kinds of numbers:
   registry lock (the counters themselves are deliberately
   unsynchronised, see :meth:`~repro.counters.WorkCounters.merge`);
 - *serving* statistics — request/rejection totals, queue depth, batch
-  sizes, and request latency quantiles from a fixed-size ring;
-- *stage latencies* — one fixed-bucket log-spaced histogram per
-  pipeline stage (admission, cache lookup, batch wait, dispatch,
-  fold, merge, serialize; see :data:`repro.obs.histogram.STAGES`),
-  sharded per thread so recording never contends a global lock.
-  These replaced the bespoke p50/p99 summaries: histogram buckets are
-  additive across threads and scrapes and expose the whole tail, not
-  two pinned quantiles.
+  sizes, and end-to-end request latency, for the whole service and
+  per tenant;
+- *stage latencies* — one histogram per pipeline stage (admission,
+  cache lookup, batch wait, dispatch, fold, merge, serialize; see
+  :data:`repro.obs.histogram.STAGES`), plus per-shard fold time.
+
+Every bucketed number is a :class:`~repro.obs.histogram.Histogram`.
+With a :class:`~repro.obs.timeseries.TimeSeriesStore` wired in, the
+service, tenant and shard histograms come from the store, so the
+since-boot counts behind ``/metrics`` and the tenant and shard tables
+and the rolling windows behind ``/statusz`` are one object each: a
+request's latency is observed exactly twice (service and tenant).
 
 Everything is exposed in Prometheus text format (v0.0.4) by
 :meth:`ServiceMetrics.render`, which is what the HTTP front end serves
@@ -23,11 +27,14 @@ at ``/metrics``.  Gauges owned by other components (queue depth, cache
 stats, index footprint) are *pulled* at render time through registered
 callables, so the registry never holds stale copies.
 
-Consistency: every multi-field update (request count + latency ring,
-batch count + work counters + batch-size histogram) happens under the
-registry lock, and :meth:`snapshot` reads under the same lock — so
-``/healthz`` and ``/metrics`` can never observe a torn update (e.g. a
-request counted but its latency not yet recorded).
+Tenant labels come from client input, so at most :data:`MAX_TENANTS`
+distinct labels get their own row; later ones share
+:data:`OVERFLOW_TENANT`, which keeps memory and the exposition bounded.
+
+Consistency: every multi-field update (batch count + work counters +
+batch-size histogram) happens under the registry lock, and
+:meth:`snapshot` reads under the same lock — so ``/healthz`` and
+``/metrics`` never observe a torn batch update.
 """
 
 from __future__ import annotations
@@ -36,19 +43,24 @@ import re
 import threading
 from typing import Callable
 
-import numpy as np
-
 from repro.counters import WorkCounters
-from repro.obs.histogram import STAGES, HistogramRegistry, LatencyHistogram
+from repro.obs.histogram import STAGES, Histogram
 
-__all__ = ["LatencyRing", "BatchSizeHistogram", "ServiceMetrics",
-           "clean_tenant", "DEFAULT_TENANT"]
+__all__ = ["ServiceMetrics", "clean_tenant", "DEFAULT_TENANT",
+           "MAX_TENANTS", "OVERFLOW_TENANT"]
 
 #: Upper bucket bounds for the batch-size histogram (plus +Inf).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 #: Label every request without an (acceptable) tenant lands under.
 DEFAULT_TENANT = "default"
+
+#: Distinct tenant labels tracked before new ones share
+#: :data:`OVERFLOW_TENANT` (tenant labels come from client input).
+MAX_TENANTS = 64
+
+#: Label for every tenant past :data:`MAX_TENANTS`.
+OVERFLOW_TENANT = "_overflow"
 
 _TENANT_PATTERN = re.compile(r"[A-Za-z0-9_.:-]{1,64}")
 
@@ -74,118 +86,45 @@ class _TenantStats:
     """Per-tenant accounting: counters + a latency histogram.
 
     Counters are guarded by the owning registry's lock; the latency
-    histogram is internally thread-safe (per-thread shards), so
-    observations happen outside the lock like the global one.
+    histogram has its own lock, so observations happen outside the
+    registry lock like the service-wide one.
     """
 
     __slots__ = ("requests", "rejected", "errors", "work", "latency")
 
-    def __init__(self):
+    def __init__(self, latency: Histogram):
         self.requests = 0
         self.rejected = 0
         self.errors = 0
         self.work = 0.0
-        self.latency = LatencyHistogram()
-
-
-class LatencyRing:
-    """Fixed-size ring of the most recent latencies, for quantiles.
-
-    A bounded ring keeps the quantile computation O(window) regardless
-    of service uptime and naturally weights towards recent traffic —
-    the behaviour expected of a p99 gauge.  The ring feeds the
-    ``/healthz`` snapshot; the ``/metrics`` exposition uses the
-    mergeable fixed-bucket histograms instead.
-    """
-
-    def __init__(self, window: int = 2048):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self._values = np.zeros(window)
-        self._next = 0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def record(self, seconds: float) -> None:
-        """Add one observation (thread-safe)."""
-        with self._lock:
-            self._values[self._next] = seconds
-            self._next = (self._next + 1) % self._values.size
-            self._count = min(self._count + 1, self._values.size)
-
-    @property
-    def count(self) -> int:
-        """Observations recorded (lifetime, capped reporting window)."""
-        return self._count
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile over the current window (0.0 if empty)."""
-        with self._lock:
-            if self._count == 0:
-                return 0.0
-            return float(np.quantile(self._values[:self._count], q))
-
-
-class BatchSizeHistogram:
-    """Cumulative-bucket histogram of executed batch sizes."""
-
-    def __init__(self, bounds=BATCH_SIZE_BUCKETS):
-        self.bounds = tuple(bounds)
-        self._counts = [0] * (len(self.bounds) + 1)  # trailing +Inf
-        self._sum = 0
-        self._total = 0
-        self._lock = threading.Lock()
-
-    def record(self, size: int) -> None:
-        """Account one executed batch of ``size`` requests."""
-        with self._lock:
-            for i, bound in enumerate(self.bounds):
-                if size <= bound:
-                    self._counts[i] += 1
-                    break
-            else:
-                self._counts[-1] += 1
-            self._sum += size
-            self._total += 1
-
-    def snapshot(self) -> dict:
-        """``{"buckets": [(le, cumulative), ...], "sum": .., "count": ..}``."""
-        with self._lock:
-            cumulative = []
-            running = 0
-            for bound, count in zip(self.bounds, self._counts):
-                running += count
-                cumulative.append((str(bound), running))
-            cumulative.append(("+Inf", running + self._counts[-1]))
-            return {"buckets": cumulative, "sum": self._sum,
-                    "count": self._total}
+        self.latency = latency
 
 
 class ServiceMetrics:
     """Aggregation point for every number ``/metrics`` exposes.
 
     ``timeseries`` (a :class:`~repro.obs.timeseries.TimeSeriesStore`)
-    and ``slo`` (a :class:`~repro.obs.slo.SLOEngine`) are optional
-    sinks: when present, every request/rejection/failure is mirrored
-    into rolling windows and SLO good/bad streams on the metrics path
-    — strictly after the response payload is determined, so enabling
+    and ``slo`` (a :class:`~repro.obs.slo.SLOEngine`) are optional:
+    with a store, the service, tenant and shard histograms are the
+    store's ring-carrying ones and request/rejection/error counts
+    feed its rolling counters; with an engine, every request feeds
+    the SLO good/bad streams.  All of it runs on the metrics path,
+    strictly after the response payload is determined, so enabling
     them can never change a response byte.
     """
 
-    def __init__(self, latency_window: int = 2048, *,
-                 timeseries=None, slo=None):
+    def __init__(self, *, timeseries=None, slo=None):
         self.work = WorkCounters()
-        self.latency = LatencyRing(latency_window)
-        #: end-to-end request latency, histogram form (the exposition)
-        self.latency_hist = LatencyHistogram()
-        #: per-stage latency histograms (admission … serialize)
-        self.stages = HistogramRegistry(STAGES)
-        self.batch_sizes = BatchSizeHistogram()
-        #: per-shard fold latency (sharded executor only), created
-        #: lazily per shard label under the registry lock
-        self._shard_folds: dict[int, LatencyHistogram] = {}
         self.timeseries = timeseries
         self.slo = slo
+        #: end-to-end request latency (windowed with a store)
+        self.latency = self._histogram("latency")
+        #: per-stage latency histograms (admission … serialize)
+        self.stages = {stage: Histogram() for stage in STAGES}
+        self.batch_sizes = Histogram(BATCH_SIZE_BUCKETS)
+        #: per-shard fold latency (sharded executor only), created
+        #: lazily per shard label under the registry lock
+        self._shard_folds: dict[int, Histogram] = {}
         self._lock = threading.Lock()
         self._requests: dict[str, int] = {}
         self._tenants: dict[str, _TenantStats] = {}
@@ -196,11 +135,22 @@ class ServiceMetrics:
         self._mutations = 0
         self._gauges: dict[str, Callable[[], dict | float]] = {}
 
+    def _histogram(self, name: str) -> Histogram:
+        """The store's windowed histogram ``name``, or a plain one."""
+        if self.timeseries is None:
+            return Histogram()
+        return self.timeseries.histogram(name)
+
     def _tenant_locked(self, tenant: str) -> _TenantStats:
         stats = self._tenants.get(tenant)
         if stats is None:
-            stats = _TenantStats()
-            self._tenants[tenant] = stats
+            if len(self._tenants) >= MAX_TENANTS:
+                tenant = OVERFLOW_TENANT
+                stats = self._tenants.get(tenant)
+            if stats is None:
+                stats = _TenantStats(
+                    self._histogram(f"tenant_latency.{tenant}"))
+                self._tenants[tenant] = stats
         return stats
 
     # ------------------------------------------------------------------
@@ -209,28 +159,24 @@ class ServiceMetrics:
                        work: dict | None = None) -> None:
         """One completed request on ``endpoint`` taking ``seconds``.
 
-        The counter and the latency observation land under one lock so
-        a concurrent :meth:`snapshot` sees both or neither.  ``tenant``
-        attributes the request (and ``work``, the result's
-        WorkCounters dict — zero on cache hits) to a per-tenant table;
-        the rolling store and SLO engine see the request as well.
+        ``tenant`` attributes the request (and ``work``, the result's
+        WorkCounters dict — zero on cache hits) to a per-tenant table.
+        The latency is observed twice, into the service and the tenant
+        histogram; the rolling store and SLO engine see the request as
+        well.
         """
         tenant = clean_tenant(tenant)
         with self._lock:
             self._requests[endpoint] = self._requests.get(endpoint, 0) + 1
-            self.latency.record(seconds)
             stats = self._tenant_locked(tenant)
             stats.requests += 1
             if work:
                 stats.work += float(work.get("total")
                                     or sum(work.values()))
-        self.latency_hist.observe(seconds)
+        self.latency.observe(seconds)
         stats.latency.observe(seconds)
         if self.timeseries is not None:
             self.timeseries.counter("requests").add()
-            self.timeseries.histogram("latency").observe(seconds)
-            self.timeseries.histogram(
-                f"tenant_latency.{tenant}").observe(seconds)
         if self.slo is not None:
             self.slo.observe_request(seconds)
 
@@ -265,7 +211,7 @@ class ServiceMetrics:
     def record_batch(self, size: int, work: WorkCounters | dict) -> None:
         """One executed scheduler batch and the work it performed."""
         with self._lock:
-            self.batch_sizes.record(size)
+            self.batch_sizes.observe(size)
             self._batches += 1
             self.work.merge(work)
 
@@ -277,13 +223,14 @@ class ServiceMetrics:
             self.work.merge(work)
 
     def record_stage(self, stage: str, seconds: float) -> None:
-        """One observation for a pipeline-stage latency histogram."""
-        self.stages.observe(stage, seconds)
+        """One observation for a pipeline-stage latency histogram
+        (an unknown stage raises ``KeyError``)."""
+        self.stages[stage].observe(seconds)
 
     def record_fold(self, seconds: float) -> None:
         """Solver-fold wall time of one executed batch (compute only,
         no queueing) — the stage split executor sizing needs."""
-        self.stages.observe("fold", seconds)
+        self.stages["fold"].observe(seconds)
 
     def record_shard_fold(self, shard: int, seconds: float) -> None:
         """One shard's fold wall time for one scatter-gathered batch.
@@ -296,12 +243,11 @@ class ServiceMetrics:
         histogram = self._shard_folds.get(shard)
         if histogram is None:
             with self._lock:
-                histogram = self._shard_folds.setdefault(
-                    shard, LatencyHistogram())
+                histogram = self._shard_folds.get(shard)
+                if histogram is None:
+                    histogram = self._histogram(f"shard_fold.{shard}")
+                    self._shard_folds[shard] = histogram
         histogram.observe(seconds)
-        if self.timeseries is not None:
-            self.timeseries.histogram(
-                f"shard_fold.{shard}").observe(seconds)
 
     def record_straggler(self, shard: int) -> None:
         """One fold flagged by the straggler detector on ``shard``.
@@ -331,8 +277,8 @@ class ServiceMetrics:
 
         All counter fields are read under the registry lock, so the
         returned dict is a consistent point-in-time cut — request
-        totals, latency window, batch totals and work counters all
-        reflect the same set of completed updates.
+        totals, batch totals and work counters all reflect the same set
+        of completed updates.
         """
         with self._lock:
             requests = dict(self._requests)
@@ -340,8 +286,6 @@ class ServiceMetrics:
                                          self._errors)
             mutations = self._mutations
             work = self.work.snapshot_dict()
-            latency_p50 = self.latency.quantile(0.5)
-            latency_p99 = self.latency.quantile(0.99)
             batch_size = self.batch_sizes.snapshot()
             stragglers = dict(self._straggler_folds)
         return {
@@ -351,10 +295,8 @@ class ServiceMetrics:
             "errors": errors,
             "mutations": mutations,
             "work": work,
-            "latency_p50": latency_p50,
-            "latency_p99": latency_p99,
-            "fold_p50": self.stages.quantile("fold", 0.5),
-            "fold_p99": self.stages.quantile("fold", 0.99),
+            "fold_p50": self.stages["fold"].quantile(0.5),
+            "fold_p99": self.stages["fold"].quantile(0.99),
             "batch_size": batch_size,
             "straggler_folds": stragglers,
         }
@@ -364,7 +306,8 @@ class ServiceMetrics:
 
         One dict per tenant, sorted by tenant label, with since-boot
         request/rejection/error counts, attributed solver work, and
-        bucket-resolution latency quantiles.
+        bucket-resolution latency quantiles.  At most
+        :data:`MAX_TENANTS` labels plus :data:`OVERFLOW_TENANT`.
         """
         with self._lock:
             tenants = sorted(self._tenants.items())
@@ -385,7 +328,7 @@ class ServiceMetrics:
             stragglers = dict(self._straggler_folds)
         return [{
             "shard": shard,
-            "folds": histogram.count,
+            "folds": histogram.count(),
             "straggler_folds": stragglers.get(shard, 0),
             "fold_p50_seconds": histogram.quantile(0.50),
             "fold_p99_seconds": histogram.quantile(0.99),
@@ -448,12 +391,12 @@ class ServiceMetrics:
 
         emit("repro_service_latency_seconds", "histogram",
              "End-to-end request latency.",
-             histogram_samples(self.latency_hist.snapshot()))
+             histogram_samples(self.latency.snapshot()))
 
         stage_samples: list = []
-        for stage, snapshot in self.stages.snapshot().items():
-            stage_samples.extend(
-                histogram_samples(snapshot, labels=f'stage="{stage}"'))
+        for stage, histogram in self.stages.items():
+            stage_samples.extend(histogram_samples(
+                histogram.snapshot(), labels=f'stage="{stage}"'))
         emit("repro_service_stage_seconds", "histogram",
              "Per-stage pipeline latency "
              "(admission|cache_lookup|batch_wait|dispatch|fold|merge|"

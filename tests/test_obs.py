@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -20,8 +21,7 @@ from repro.graph.generators import erdos_renyi
 from repro.obs.histogram import (
     DEFAULT_BUCKETS,
     STAGES,
-    HistogramRegistry,
-    LatencyHistogram,
+    Histogram,
     format_le,
 )
 from repro.obs.profiler import SamplingProfiler
@@ -41,7 +41,7 @@ from repro.obs.tracing import (
     chrome_trace_events,
     new_request_id,
 )
-from repro.service import PPRService, ServiceConfig
+from repro.service import PPRService, ServiceConfig, ServiceMetrics
 
 SEED = 2022
 ALPHA = 0.2
@@ -180,13 +180,16 @@ class TestTracer:
 # Histograms
 # ----------------------------------------------------------------------
 class TestLatencyHistogram:
+    """Since-boot reads of :class:`Histogram` (windowed reads are in
+    ``tests/test_timeseries.py::TestRollingHistogram``)."""
+
     def test_buckets_ascending_and_le_format(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
         assert format_le(0.025) == "0.025"
         assert format_le(10.0) == "10"
 
     def test_snapshot_is_cumulative_with_inf(self):
-        hist = LatencyHistogram(bounds=(0.01, 0.1, 1.0))
+        hist = Histogram(bounds=(0.01, 0.1, 1.0))
         for value in (0.005, 0.005, 0.05, 0.5, 5.0):
             hist.observe(value)
         snap = hist.snapshot()
@@ -196,7 +199,7 @@ class TestLatencyHistogram:
                                    ("+Inf", 5)]
 
     def test_quantile_reports_bucket_upper_bound(self):
-        hist = LatencyHistogram(bounds=(0.01, 0.1, 1.0))
+        hist = Histogram(bounds=(0.01, 0.1, 1.0))
         assert hist.quantile(0.5) == 0.0  # empty
         for _ in range(9):
             hist.observe(0.005)
@@ -206,32 +209,55 @@ class TestLatencyHistogram:
         with pytest.raises(ValueError):
             hist.quantile(1.5)
 
+    def test_quantile_zero_is_lowest_non_empty_bucket(self):
+        hist = Histogram()
+        hist.observe(0.5)
+        assert hist.quantile(0.0) == 0.5
+        overflow = Histogram(bounds=(0.01, 0.1))
+        overflow.observe(7.0)
+        assert overflow.quantile(0.0) == 0.1
+
+    def test_windowed_read_needs_a_ring(self):
+        with pytest.raises(ValueError):
+            Histogram().count(60.0)
+        with pytest.raises(ValueError):
+            Histogram(capacity=1)
+
     def test_threaded_observers_lose_nothing(self):
-        hist = LatencyHistogram()
+        # a ring-carrying histogram, so both the since-boot counts and
+        # the ring slot see every concurrent increment
+        hist = Histogram(interval=1.0, capacity=4)
         per_thread = 500
+        workers = 8
 
         def worker(seed):
             for index in range(per_thread):
-                hist.observe((seed + index % 7) * 1e-4)
+                hist.observe((seed + index % 7) * 1e-4, now=1.0)
 
         threads = [threading.Thread(target=worker, args=(k,))
-                   for k in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert hist.count == 4 * per_thread
-        assert hist.snapshot()["buckets"][-1][1] == 4 * per_thread
+                   for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert hist.count() == workers * per_thread
+        assert hist.snapshot()["buckets"][-1][1] == workers * per_thread
+        assert hist.count(4.0, now=1.0) == workers * per_thread
 
     def test_registry_is_fixed_at_construction(self):
-        registry = HistogramRegistry()
-        assert registry.stages == STAGES
-        registry.observe("fold", 0.01)
-        assert registry.histogram("fold").count == 1
-        assert registry.snapshot()["fold"]["count"] == 1
-        assert registry.quantile("merge", 0.5) == 0.0
+        metrics = ServiceMetrics()
+        assert tuple(metrics.stages) == STAGES
+        metrics.record_stage("fold", 0.01)
+        assert metrics.stages["fold"].count() == 1
+        assert metrics.stages["merge"].quantile(0.5) == 0.0
         with pytest.raises(KeyError):
-            registry.observe("not_a_stage", 0.01)
+            metrics.record_stage("not_a_stage", 0.01)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,9 @@ from repro.core.config import PPRConfig
 from repro.exceptions import ConfigError
 from repro.graph.generators import erdos_renyi
 from repro.montecarlo.forest_index import ForestIndex
+from repro.obs.exposition import check_exposition
+from repro.obs.histogram import Histogram
+from repro.obs.timeseries import TimeSeriesStore
 from repro.service import (
     IndexManager,
     MicroBatchScheduler,
@@ -28,7 +31,13 @@ from repro.service import (
     cache_key,
 )
 from repro.service.http import make_server, serve_forever
-from repro.service.metrics import BatchSizeHistogram, LatencyRing
+from repro.service.metrics import (
+    BATCH_SIZE_BUCKETS,
+    DEFAULT_TENANT,
+    MAX_TENANTS,
+    OVERFLOW_TENANT,
+    clean_tenant,
+)
 
 SEED = 2022
 ALPHA = 0.2
@@ -177,22 +186,10 @@ class TestResultCache:
 
 
 class TestMetrics:
-    def test_latency_ring_quantiles(self):
-        ring = LatencyRing(window=8)
-        assert ring.quantile(0.99) == 0.0
-        for value in (1.0, 2.0, 3.0, 4.0):
-            ring.record(value)
-        assert ring.count == 4
-        assert ring.quantile(0.5) == pytest.approx(2.5)
-        # the ring keeps only the most recent window
-        for value in (10.0,) * 8:
-            ring.record(value)
-        assert ring.quantile(0.5) == 10.0
-
     def test_batch_histogram_buckets(self):
-        hist = BatchSizeHistogram()
+        hist = Histogram(bounds=BATCH_SIZE_BUCKETS)
         for size in (1, 3, 8, 200):
-            hist.record(size)
+            hist.observe(size)
         snap = hist.snapshot()
         buckets = dict(snap["buckets"])
         assert buckets["1"] == 1
@@ -254,7 +251,6 @@ class TestMetrics:
         assert_prometheus_exposition(metrics.render())
 
     def test_tenant_sanitization(self):
-        from repro.service.metrics import DEFAULT_TENANT, clean_tenant
         assert clean_tenant("acme-prod_1.eu:a") == "acme-prod_1.eu:a"
         assert clean_tenant(None) == DEFAULT_TENANT
         assert clean_tenant("") == DEFAULT_TENANT
@@ -291,6 +287,18 @@ class TestMetrics:
                 '{tenant="acme"} 2') in text
         assert_prometheus_exposition(text)
 
+    def test_tenant_cardinality_is_capped(self):
+        metrics = ServiceMetrics(timeseries=TimeSeriesStore())
+        for index in range(1000):
+            metrics.record_request("query", 0.001, tenant=f"t{index}")
+        rows = {row["tenant"]: row for row in metrics.tenant_table()}
+        assert len(rows) <= MAX_TENANTS + 1
+        assert clean_tenant(OVERFLOW_TENANT) == OVERFLOW_TENANT
+        assert rows[OVERFLOW_TENANT]["requests"] == 1000 - MAX_TENANTS
+        assert len(metrics.window_snapshot(60.0)["histograms"]) \
+            == MAX_TENANTS + 2  # + service latency + overflow
+        assert check_exposition(metrics.render()) == []
+
     def test_straggler_and_shard_tables(self):
         metrics = ServiceMetrics()
         metrics.record_shard_fold(0, 0.001)
@@ -307,7 +315,6 @@ class TestMetrics:
 
     def test_window_snapshot_and_slo_report_require_wiring(self):
         from repro.obs.slo import SLOEngine, default_specs
-        from repro.obs.timeseries import TimeSeriesStore
         bare = ServiceMetrics()
         assert bare.window_snapshot(60.0) is None
         assert bare.slo_report() == []
@@ -932,6 +939,44 @@ class TestHTTP:
             assert response.headers["X-Request-Id"]
             payload = json.loads(response.read())
         assert "debug" not in payload
+
+
+class TestOneLatencyHistogram:
+    def test_statusz_tenant_table_and_metrics_agree_on_p99(self, graph):
+        config = ServiceConfig(
+            graph="test", alpha=ALPHA, epsilon=EPSILON,
+            budget_scale=0.05, seed=SEED, max_batch=8,
+            max_wait_ms=2.0, cache_entries=16, port=0)
+        with PPRService(config, graph=graph) as service:
+            for node in (0, 1, 2, 3, 0, 1, 4, 5, 6, 0, 7, 8):
+                service.query("source", node, top=3, tenant="acme")
+            window = service.statusz()["windows"]["60s"]["histograms"]
+            (row,) = service.metrics.tenant_table()
+            text = service.metrics_text()
+        buckets = [(le, int(count)) for le, count in re.findall(
+            r'^repro_service_latency_seconds_bucket\{le="([^"]+)"\} '
+            r'(\d+)$', text, flags=re.MULTILINE)]
+        total = buckets[-1][1]
+        from_buckets = next(float(le) for le, cumulative in buckets
+                            if cumulative >= 0.99 * total)
+        assert total == window["latency"]["count"] == row["requests"] == 12
+        assert window["latency"]["p99"] == row["p99_seconds"] \
+            == from_buckets
+
+    def test_loadgen_shard_report_matches_shard_table(self, monkeypatch):
+        from repro.service import loadgen
+        metrics = ServiceMetrics()
+        for seconds in (0.001, 0.002, 0.004, 0.3):
+            metrics.record_shard_fold(0, seconds)
+        metrics.record_shard_fold(1, 20.0)  # overflow bucket
+        monkeypatch.setattr(loadgen, "_get",
+                            lambda url: metrics.render())
+        rows, failures = loadgen.shard_fold_report("http://unused", 3)
+        assert failures == ["shard 2 fold histogram missing or zero"]
+        for scraped, served in zip(rows, metrics.shard_table()):
+            assert scraped["count"] == served["folds"]
+            assert scraped["p50_seconds"] == served["fold_p50_seconds"]
+            assert scraped["p99_seconds"] == served["fold_p99_seconds"]
 
 
 class TestSLOIntegration:

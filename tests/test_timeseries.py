@@ -8,10 +8,10 @@ import threading
 
 import pytest
 
+from repro.obs.histogram import Histogram
 from repro.obs.timeseries import (
     RollingCounter,
     RollingGauge,
-    RollingHistogram,
     TimeSeriesStore,
 )
 
@@ -101,8 +101,10 @@ class TestRollingGauge:
 
 
 class TestRollingHistogram:
+    """Windowed reads over a ring-carrying :class:`Histogram`."""
+
     def test_quantiles_bucket_resolution(self):
-        histogram = RollingHistogram(interval=1.0, capacity=10)
+        histogram = Histogram(interval=1.0, capacity=10)
         for _ in range(9):
             histogram.observe(0.004, now=1.0)
         histogram.observe(0.9, now=1.0)
@@ -112,14 +114,28 @@ class TestRollingHistogram:
         assert histogram.quantile(0.99, 10.0, now=1.0) >= 0.9
 
     def test_observations_expire(self):
-        histogram = RollingHistogram(interval=1.0, capacity=4)
+        histogram = Histogram(interval=1.0, capacity=4)
         histogram.observe(0.1, now=0.0)
         assert histogram.count(4.0, now=0.0) == 1
         assert histogram.count(4.0, now=50.0) == 0
         assert histogram.quantile(0.5, 4.0, now=50.0) == 0.0
+        # the since-boot read of the same object keeps it
+        assert histogram.count() == 1
+
+    def test_slot_reset_on_wrap(self):
+        histogram = Histogram(interval=1.0, capacity=3)
+        histogram.observe(0.1, now=0.0)
+        histogram.observe(0.002, now=3.0)  # same slot as tick 0
+        assert histogram.count(3.0, now=3.0) == 1
+        assert histogram.quantile(0.5, 3.0, now=3.0) == 0.0025
+
+    def test_quantile_zero_is_lowest_non_empty_bucket(self):
+        histogram = Histogram(interval=1.0, capacity=4)
+        histogram.observe(0.5, now=0.0)
+        assert histogram.quantile(0.0, 4.0, now=0.0) == 0.5
 
     def test_snapshot_shape(self):
-        histogram = RollingHistogram(interval=1.0, capacity=4)
+        histogram = Histogram(interval=1.0, capacity=4)
         histogram.observe(0.002, now=0.0)
         snapshot = histogram.snapshot(4.0, now=0.0)
         assert snapshot["count"] == 1
@@ -136,6 +152,7 @@ class TestTimeSeriesStore:
         assert store.counter("x") is store.counter("x")
         assert store.gauge("g") is store.gauge("g")
         assert store.histogram("h") is store.histogram("h")
+        assert store.histogram("h").capacity == store.capacity
 
     def test_window_snapshot(self):
         store = TimeSeriesStore(interval=1.0, capacity=10)
@@ -149,6 +166,10 @@ class TestTimeSeriesStore:
         assert snapshot["gauges"]["depth"]["latest"] == 3.0
         assert snapshot["histograms"]["latency"]["count"] == 1
         assert snapshot["histograms"]["latency"]["p99"] > 0.0
+        # a histogram that never saw data is not listed
+        store.histogram("idle")
+        assert "idle" not in store.window_snapshot(10.0, now=2.0)[
+            "histograms"]
 
     def test_bounded_memory(self):
         store = TimeSeriesStore(interval=1.0, capacity=16)
