@@ -114,18 +114,6 @@ def run_kernels(workers: int = 4) -> dict[str, dict]:
                                         rng=SEED, workers=1)
         return stage.counters.as_dict()
 
-    def estimate_stage_cv():
-        # the control-variate fold: basic-estimator stage + the scalar
-        # regression adjustment (cv_combine credits cv_fits)
-        from repro.forests.estimators import cv_combine
-        stage = parallel_estimate_stage(graph, ALPHA, 32, residual,
-                                        kind="source", improved=False,
-                                        rng=SEED, workers=1,
-                                        variance_mode="control_variate")
-        cv_combine(stage.cv_accumulator(), graph.degrees,
-                   counters=stage.counters)
-        return stage.counters.as_dict()
-
     def push_kernel(func, r_max=5e-5):
         def run():
             from repro.counters import WorkCounters
@@ -272,8 +260,6 @@ def run_kernels(workers: int = 4) -> dict[str, dict]:
                            ("forest_sampling_parallel", forest_parallel),
                            ("estimate_stage_source_improved",
                             estimate_stage),
-                           ("estimate_stage_source_cv",
-                            estimate_stage_cv),
                            # names keep their "_vectorized" suffix so
                            # the committed baselines stay comparable
                            ("forward_push_vectorized",

@@ -105,11 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--variance-mode", choices=list(VARIANCE_MODES),
                        default="improved",
                        help="forest-stage variance reduction: "
-                            "control_variate regresses against the "
-                            "degree-mass variate, stratified couples "
-                            "sampling chunks through a Latin-hypercube "
-                            "grid (and shrinks the forest budget by "
-                            "its measured variance gain)")
+                            "stratified couples sampling chunks "
+                            "through a Latin-hypercube grid (and "
+                            "shrinks the forest budget by its measured "
+                            "variance gain)")
 
     pair = commands.add_parser("pair", help="estimate one pi(s, t)")
     pair.add_argument("dataset")

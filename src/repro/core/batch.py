@@ -113,8 +113,7 @@ class _BatchSolverBase:
                     graph, self.config.epsilon)
             self.index = ForestIndex.build(graph, self.config.alpha,
                                            num_forests,
-                                           rng=ensure_rng(self.config.seed),
-                                           method=self.config.sampler)
+                                           rng=ensure_rng(self.config.seed))
             self._owns_index = True
         self._closed = False
         self._queries_served = 0

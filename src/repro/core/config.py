@@ -43,10 +43,9 @@ __all__ = ["PPRConfig", "VARIANCE_MODES", "VARIANCE_GAIN"]
 
 #: Recognised variance-reduction modes for the forest Monte-Carlo
 #: stage.  ``"improved"`` is the paper's conditional-MC estimator
-#: (Theorem 3.8); ``"control_variate"`` regresses the basic estimator
-#: against its known-expectation degree-mass variate; ``"stratified"``
-#: couples each sampling chunk through a Latin-hypercube grid.
-VARIANCE_MODES = ("improved", "control_variate", "stratified")
+#: (Theorem 3.8); ``"stratified"`` couples each sampling chunk through
+#: a Latin-hypercube grid.
+VARIANCE_MODES = ("improved", "stratified")
 
 #: Effective variance gain each mode delivers at equal forest count
 #: relative to the ``"improved"`` baseline, as measured by the
@@ -54,11 +53,9 @@ VARIANCE_MODES = ("improved", "control_variate", "stratified")
 #: (:func:`repro.forests.statistics.empirical_variance_ratio`; the
 #: test-suite enforces the stratified floor).  ω is divided by this
 #: gain: a mode that shrinks the bank-mean variance by ``g`` needs
-#: ``1/g`` as many forests for the same accuracy.  The gains are
-#: deliberately conservative — control_variate improves on *basic*
-#: but not reliably on improved, so it earns no discount.
-VARIANCE_GAIN = {"improved": 1.0, "control_variate": 1.0,
-                 "stratified": 1.5}
+#: ``1/g`` as many forests for the same accuracy.  The gain is
+#: deliberately conservative.
+VARIANCE_GAIN = {"improved": 1.0, "stratified": 1.5}
 
 
 @dataclass(frozen=True)
@@ -77,11 +74,10 @@ class PPRConfig:
     ``variance_mode`` picks the variance-reduction machinery of the
     forest stage (see :data:`VARIANCE_MODES`).  Modes with a measured
     gain shrink ω through :data:`VARIANCE_GAIN`, so fewer forests are
-    sampled for the same accuracy target.  ``control_variate`` leans
-    on the degree vector being stationary and therefore requires an
-    undirected graph (like the improved estimators); ``stratified``
-    only changes the sampling joint law, never a marginal, and works
-    everywhere.
+    sampled for the same accuracy target.  ``stratified`` only changes
+    the sampling joint law, never a marginal, and works everywhere.
+    The sampler itself is not configurable: every forest stage picks it
+    from ``alpha`` (:func:`repro.forests.sampling.sample_forest`).
     """
 
     alpha: float = 0.01
@@ -91,7 +87,6 @@ class PPRConfig:
     r_max: float | None = None
     budget_scale: float = 1.0
     push_cost_ratio: float = 0.02
-    sampler: str = "auto"
     track_variance: bool = False
     max_forests: int = 100_000
     max_walks: int = 50_000_000

@@ -77,8 +77,7 @@ def pair_ppr(graph: Graph, source: int, target: int, *,
     rng = ensure_rng(config.seed)
     improved = not graph.directed
 
-    pilot = sample_forest(graph, config.alpha, rng=rng,
-                          method=config.sampler)
+    pilot = sample_forest(graph, config.alpha, rng=rng)
     tau_hat = max(pilot.num_steps, 1)
     budget = config.walk_budget(graph)
     r_max = config.r_max
@@ -115,8 +114,7 @@ def pair_ppr(graph: Graph, source: int, target: int, *,
         drawn += 1
         if drawn >= num_forests:
             break
-        forest = sample_forest(graph, config.alpha, rng=rng,
-                               method=config.sampler)
+        forest = sample_forest(graph, config.alpha, rng=rng)
     t2 = time.perf_counter()
 
     estimate = float(push.reserve[source]) + total / drawn

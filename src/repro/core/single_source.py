@@ -40,9 +40,7 @@ from repro.core.config import PPRConfig
 from repro.core.result import PPRResult
 from repro.counters import WorkCounters
 from repro.exceptions import ConfigError
-from repro.forests.estimators import (CVAccumulator, accumulate_cv_estimates,
-                                      accumulate_estimates, cv_combine,
-                                      cv_stderr)
+from repro.forests.estimators import accumulate_estimates
 from repro.forests.sampling import sample_forest
 from repro.graph.csr import Graph
 from repro.montecarlo.forest_index import ForestIndex
@@ -104,43 +102,17 @@ def _forest_stage(graph: Graph, residual: np.ndarray, config: PPRConfig,
     ``"mc_stderr"`` — the per-forest estimates are i.i.d., so this is a
     calibrated uncertainty for the sampled part of the answer.
 
-    ``config.variance_mode`` steers the stage: ``"stratified"`` couples
-    the sampling chunks (same estimator, ω already discounted by
-    :attr:`~repro.core.config.PPRConfig.variance_gain`);
-    ``"control_variate"`` switches to the basic estimator with the
-    fitted degree-mass variate (β reported as ``"cv_beta"``).  The
-    pilot forest, when present, is folded in first under either mode —
-    a stratified batch's members keep the single-forest marginal law,
-    so mixing the pilot in stays unbiased.
+    ``config.variance_mode="stratified"`` couples the sampling chunks
+    (same estimator, ω already discounted by
+    :attr:`~repro.core.config.PPRConfig.variance_gain`).  The pilot
+    forest, when present, is folded in first under either mode — a
+    stratified batch's members keep the single-forest marginal law, so
+    mixing the pilot in stays unbiased.
     """
     omega = config.num_forests(graph, sample_ceiling)
     counters = WorkCounters()
     track = config.track_variance
     mode = config.variance_mode
-    if mode == "control_variate":
-        acc = CVAccumulator.zeros(graph.num_nodes, track)
-        if pilot is not None:
-            acc.merge(accumulate_cv_estimates(
-                [pilot], residual, graph.degrees, kind=kind,
-                track_squares=track, counters=counters))
-        stage = parallel_estimate_stage(
-            graph, config.alpha, max(omega - acc.drawn, 0), residual,
-            kind=kind, improved=False, rng=rng, workers=config.workers,
-            method=config.sampler, track_squares=track,
-            variance_mode=mode)
-        acc.merge(stage.cv_accumulator())
-        counters.merge(stage.counters)
-        mean, beta = cv_combine(acc, graph.degrees, counters=counters)
-        stats = {"num_forests": acc.drawn,
-                 "forest_steps": counters.walk_steps,
-                 "cycle_pops": counters.cycle_pops, "omega": omega,
-                 "mc_workers": stage.workers_used,
-                 "mc_chunks": stage.num_chunks,
-                 "variance_mode": mode, "cv_beta": beta,
-                 "_counters": counters}
-        if track:
-            stats["mc_stderr"] = cv_stderr(acc, beta)
-        return mean, stats
     sums = np.zeros(graph.num_nodes)
     squares = np.zeros(graph.num_nodes) if track else None
     drawn = 0
@@ -157,7 +129,7 @@ def _forest_stage(graph: Graph, residual: np.ndarray, config: PPRConfig,
     stage = parallel_estimate_stage(
         graph, config.alpha, max(omega - drawn, 0), residual, kind=kind,
         improved=improved, rng=rng, workers=config.workers,
-        method=config.sampler, track_squares=track, variance_mode=mode)
+        track_squares=track, variance_mode=mode)
     sums += stage.sums
     if squares is not None and stage.squares is not None:
         squares += stage.squares
@@ -177,8 +149,7 @@ def _forest_stage(graph: Graph, residual: np.ndarray, config: PPRConfig,
 def _pilot_r_max(graph: Graph, config: PPRConfig, rng):
     """FORAL/FORALV default ``r_max``: balance push against sampling
     using a pilot forest's step count as τ̂.  Returns (r_max, pilot)."""
-    pilot = sample_forest(graph, config.alpha, rng=rng,
-                          method=config.sampler)
+    pilot = sample_forest(graph, config.alpha, rng=rng)
     tau_hat = max(pilot.num_steps, 1)
     budget = config.walk_budget(graph)
     mean_degree = max(graph.average_degree, 1.0)
@@ -227,20 +198,6 @@ def _require_undirected_for_improved(graph: Graph, method: str) -> None:
             f"variant instead")
 
 
-def _check_variance_mode(graph: Graph, config: PPRConfig | None,
-                         method: str) -> None:
-    """The control-variate regression needs ``E[t] = d`` — the degree
-    vector must be stationary (``dᵀP = dᵀ``), which holds exactly on
-    undirected graphs.  Stratified coupling changes only the sampling
-    joint law, never a marginal, so it carries no extra requirement."""
-    if (config is not None and config.variance_mode == "control_variate"
-            and graph.directed):
-        raise ConfigError(
-            f"{method}: variance_mode='control_variate' relies on the "
-            f"degree vector being stationary and is only unbiased on "
-            f"undirected graphs")
-
-
 # ----------------------------------------------------------------------
 # FORA family (forward push front-end)
 # ----------------------------------------------------------------------
@@ -269,7 +226,6 @@ def _foral_family(graph: Graph, source: int, config: PPRConfig | None,
                   *, improved: bool, method: str) -> PPRResult:
     if improved:
         _require_undirected_for_improved(graph, method)
-    _check_variance_mode(graph, config, method)
     config, rng = _prepare(graph, source, config)
     t0 = time.perf_counter()
     pilot = None
@@ -352,14 +308,12 @@ def _speedl_family(graph: Graph, source: int, config: PPRConfig | None,
                    *, improved: bool, method: str) -> PPRResult:
     if improved:
         _require_undirected_for_improved(graph, method)
-    _check_variance_mode(graph, config, method)
     config, rng = _prepare(graph, source, config)
     t0 = time.perf_counter()
     if config.r_max is not None:
         target, pilot = config.r_max, None
     else:
-        pilot = sample_forest(graph, config.alpha, rng=rng,
-                              method=config.sampler)
+        pilot = sample_forest(graph, config.alpha, rng=rng)
         target = _max_residual_target(graph, config, pilot.num_steps)
     push = power_push(graph, source, config.alpha, target, criterion="max")
     t1 = time.perf_counter()

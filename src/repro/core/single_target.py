@@ -29,8 +29,7 @@ from repro.core.config import PPRConfig
 from repro.core.result import PPRResult
 from repro.counters import WorkCounters
 from repro.exceptions import ConfigError
-from repro.forests.estimators import (CVAccumulator, accumulate_cv_estimates,
-                                      accumulate_estimates, cv_combine)
+from repro.forests.estimators import accumulate_estimates
 from repro.forests.sampling import sample_forest
 from repro.graph.csr import Graph
 from repro.montecarlo.forest_index import ForestIndex
@@ -118,8 +117,7 @@ def _two_stage_r_max(graph: Graph, target: int, config: PPRConfig, rng):
     ``r_max = √(S_t·d̄ / (α·W·τ̂))``, floored at the BACK baseline's
     threshold so the two-stage method never pushes *deeper* than BACK.
     """
-    pilot = sample_forest(graph, config.alpha, rng=rng,
-                          method=config.sampler)
+    pilot = sample_forest(graph, config.alpha, rng=rng)
     tau_hat = max(pilot.num_steps, 1)
     budget = config.walk_budget(graph)
     mean_degree = max(graph.average_degree, 1.0)
@@ -138,12 +136,6 @@ def _backl_family(graph: Graph, target: int, config: PPRConfig | None,
         raise ConfigError(
             f"{method} uses the variance-reduced estimator, which is only "
             f"unbiased on undirected graphs; use backl instead")
-    if (config is not None and config.variance_mode == "control_variate"
-            and graph.directed):
-        raise ConfigError(
-            f"{method}: variance_mode='control_variate' relies on the "
-            f"degree vector being stationary and is only unbiased on "
-            f"undirected graphs")
     config, rng = _prepare(graph, target, config)
     pilot = None
     r_max = config.r_max
@@ -153,44 +145,25 @@ def _backl_family(graph: Graph, target: int, config: PPRConfig | None,
     push = backward_push(graph, target, config.alpha, r_max)
     t1 = time.perf_counter()
     # ω is already discounted by config.variance_gain for modes with a
-    # measured variance reduction — the walk_steps cut of this PR
+    # measured variance reduction
     omega = config.num_forests(graph, r_max)
     counters = _push_counters(push)
-    mode = config.variance_mode
-    extra_stats: dict = {"variance_mode": mode}
-    if mode == "control_variate":
-        acc = CVAccumulator.zeros(graph.num_nodes)
-        if pilot is not None:
-            acc.merge(accumulate_cv_estimates(
-                [pilot], push.residual, graph.degrees, kind="target",
-                counters=counters))
-        stage = parallel_estimate_stage(
-            graph, config.alpha, max(omega - acc.drawn, 0), push.residual,
-            kind="target", improved=False, rng=rng, workers=config.workers,
-            method=config.sampler, variance_mode=mode)
-        acc.merge(stage.cv_accumulator())
-        counters.merge(stage.counters)
-        mean, beta = cv_combine(acc, graph.degrees, counters=counters)
-        drawn = acc.drawn
-        extra_stats["cv_beta"] = beta
-    else:
-        accumulated = np.zeros(graph.num_nodes)
-        drawn = 0
-        if pilot is not None:
-            pilot_sums, _, pilot_drawn = accumulate_estimates(
-                [pilot], push.residual, graph.degrees, kind="target",
-                improved=improved, counters=counters)
-            accumulated += pilot_sums
-            drawn += pilot_drawn
-        stage = parallel_estimate_stage(
-            graph, config.alpha, max(omega - drawn, 0), push.residual,
-            kind="target", improved=improved, rng=rng,
-            workers=config.workers, method=config.sampler,
-            variance_mode=mode)
-        accumulated += stage.sums
-        drawn += stage.drawn
-        counters.merge(stage.counters)
-        mean = accumulated / max(drawn, 1)
+    accumulated = np.zeros(graph.num_nodes)
+    drawn = 0
+    if pilot is not None:
+        pilot_sums, _, pilot_drawn = accumulate_estimates(
+            [pilot], push.residual, graph.degrees, kind="target",
+            improved=improved, counters=counters)
+        accumulated += pilot_sums
+        drawn += pilot_drawn
+    stage = parallel_estimate_stage(
+        graph, config.alpha, max(omega - drawn, 0), push.residual,
+        kind="target", improved=improved, rng=rng, workers=config.workers,
+        variance_mode=config.variance_mode)
+    accumulated += stage.sums
+    drawn += stage.drawn
+    counters.merge(stage.counters)
+    mean = accumulated / max(drawn, 1)
     t2 = time.perf_counter()
     stats = {"r_max": r_max, "num_pushes": push.num_pushes,
              "push_work": push.work, "push_seconds": t1 - t0,
@@ -198,8 +171,8 @@ def _backl_family(graph: Graph, target: int, config: PPRConfig | None,
              "forest_steps": counters.walk_steps,
              "cycle_pops": counters.cycle_pops, "omega": omega,
              "mc_workers": stage.workers_used,
-             "mc_chunks": stage.num_chunks, **extra_stats,
-             **counters.as_stats()}
+             "mc_chunks": stage.num_chunks,
+             "variance_mode": config.variance_mode, **counters.as_stats()}
     return _finish(graph, target, method, config,
                    push.reserve + mean, stats)
 

@@ -148,8 +148,7 @@ class _SequentialEstimator:
         degrees = self.graph.degrees
         for _ in range(batch):
             forest = sample_forest(self.graph, self.config.alpha,
-                                   rng=self.rng,
-                                   method=self.config.sampler)
+                                   rng=self.rng)
             if self.improved:
                 estimate = source_estimate_improved(
                     forest, self.push.residual, degrees)
@@ -402,8 +401,7 @@ class BatchTopKSolver:
             chunk = min(self.batch_draw, self.max_forests - drawn)
             for _ in range(chunk):
                 forest = sample_forest(self.graph, self.config.alpha,
-                                       rng=rng,
-                                       method=self.config.sampler)
+                                       rng=rng)
                 walk_steps += forest.num_steps
                 cycle_pops += forest.num_pops
                 for state in states:

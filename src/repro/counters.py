@@ -56,10 +56,6 @@ class WorkCounters:
     repair_dirty_nodes:
         Node records invalidated by mutations, summed over repaired
         forests.
-    cv_fits:
-        Control-variate coefficient fits: one per estimate batch that
-        regressed the basic estimator against its known-expectation
-        variate (``variance_mode="control_variate"``).
     strata:
         Stratified arrow groups formed by the coupled batch sampler —
         one per (node, popping round) whose active layers drew their
@@ -75,7 +71,6 @@ class WorkCounters:
     repair_fresh_steps: int = 0
     repair_replayed_steps: int = 0
     repair_dirty_nodes: int = 0
-    cv_fits: int = 0
     strata: int = 0
 
     # ------------------------------------------------------------------

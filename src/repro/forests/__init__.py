@@ -14,8 +14,10 @@ The batch sampler (:func:`sample_forests_batch`, plain or stratified)
 and the recorded/repair samplers (:func:`sample_forest_recorded`,
 :func:`repair_forest`) run the same popping loop,
 :func:`~repro.forests.cycle_popping.pop_cycles`; each supplies only its
-own arrow source.  :func:`sample_forest` picks the vectorised sampler
-by default.
+own arrow source.  :func:`sample_forest` picks between the two from α
+(Wilson below
+:data:`~repro.forests.sampling.AUTO_SAMPLER_ALPHA_THRESHOLD`, cycle
+popping at and above it); every sampling entry point follows that rule.
 :mod:`repro.forests.enumeration` brute-forces tiny graphs to verify
 the matrix-forest theorems; :mod:`repro.forests.estimators` implements
 the basic and variance-reduced PPR estimators of §5.2/§6.2.

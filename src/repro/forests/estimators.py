@@ -36,8 +36,6 @@ refuse that combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import ConfigError
@@ -52,12 +50,6 @@ __all__ = [
     "estimator_for",
     "accumulate_estimates",
     "weighted_combine",
-    "root_degree_mass",
-    "CVAccumulator",
-    "accumulate_cv_estimates",
-    "cv_beta",
-    "cv_combine",
-    "cv_stderr",
 ]
 
 
@@ -223,159 +215,3 @@ def accumulate_estimates(forests, residual: np.ndarray,
         drawn += 1
     return sums, squares, drawn
 
-
-# ----------------------------------------------------------------------
-# Control variates (variance_mode="control_variate")
-#
-# The basic estimators admit a variate with *known* expectation: the
-# root degree-mass  t_v(F) = Σ_{u : root(u) = v} d_u.  On an undirected
-# graph the degree vector is the stationary measure (dᵀP = dᵀ, hence
-# dᵀΠ = dᵀ), so  E[t_v] = Σ_u d_u π(u, v) = d_v  exactly.  Regressing
-# the basic estimate a against t with a scalar coefficient β fitted
-# per batch gives the adjusted estimator  â = ā − β·(t̄ − d), which is
-# unbiased for any (even data-dependent, asymptotically) β and has
-# lower variance wherever a and t correlate.  The improved estimators
-# are already the conditional expectation given the partition, so this
-# variate is orthogonal to them (Cov = 0) — CV therefore rides the
-# *basic* estimator, trading Theorem 3.8's conditioning for a
-# regression correction.  Accumulators are plain per-node sums, so
-# worker chunks merge deterministically in chunk order exactly like
-# ``accumulate_estimates`` output.
-# ----------------------------------------------------------------------
-def root_degree_mass(forest: RootedForest,
-                     degrees: np.ndarray) -> np.ndarray:
-    """The CV variate ``t_v = Σ_{u rooted in v} d_u`` (``E[t] = d``)."""
-    return forest.component_degree_mass(
-        np.asarray(degrees, dtype=np.float64))
-
-
-@dataclass
-class CVAccumulator:
-    """Mergeable sums for the control-variate regression.
-
-    ``sums``/``squares`` accumulate the *basic* estimator exactly as in
-    :func:`accumulate_estimates`; ``t_sums``, ``at_sums`` and
-    ``tt_sums`` are the per-node sums of ``t``, ``a·t`` and ``t²``
-    needed to fit β and (optionally) the adjusted variance.
-    """
-
-    sums: np.ndarray
-    squares: np.ndarray | None
-    t_sums: np.ndarray
-    at_sums: np.ndarray
-    tt_sums: np.ndarray
-    drawn: int = 0
-
-    @classmethod
-    def zeros(cls, num_nodes: int,
-              track_squares: bool = False) -> "CVAccumulator":
-        return cls(sums=np.zeros(num_nodes),
-                   squares=np.zeros(num_nodes) if track_squares else None,
-                   t_sums=np.zeros(num_nodes),
-                   at_sums=np.zeros(num_nodes),
-                   tt_sums=np.zeros(num_nodes),
-                   drawn=0)
-
-    def merge(self, other: "CVAccumulator") -> "CVAccumulator":
-        """Fold ``other`` into ``self`` in place (chunk-order merge)."""
-        self.sums += other.sums
-        if self.squares is not None and other.squares is not None:
-            self.squares += other.squares
-        self.t_sums += other.t_sums
-        self.at_sums += other.at_sums
-        self.tt_sums += other.tt_sums
-        self.drawn += other.drawn
-        return self
-
-
-def accumulate_cv_estimates(forests, residual: np.ndarray,
-                            degrees: np.ndarray, *,
-                            kind: str = "source",
-                            track_squares: bool = False,
-                            counters=None) -> CVAccumulator:
-    """Fold forests into the control-variate accumulator sums.
-
-    The estimate is the *basic* estimator of ``kind``; the variate is
-    :func:`root_degree_mass` for both kinds (for targets the
-    correlation is weaker — the variate lives in root space while the
-    estimate reads the root's residual — but unbiasedness and the β=0
-    fallback are unaffected).
-    """
-    residual = np.asarray(residual, dtype=np.float64)
-    degrees = np.asarray(degrees, dtype=np.float64)
-    estimator = estimator_for(kind, improved=False)
-    acc = CVAccumulator.zeros(residual.size, track_squares)
-    for forest in forests:
-        estimate = estimator(forest, residual, degrees)
-        variate = root_degree_mass(forest, degrees)
-        acc.sums += estimate
-        if acc.squares is not None:
-            acc.squares += estimate * estimate
-        acc.t_sums += variate
-        acc.at_sums += estimate * variate
-        acc.tt_sums += variate * variate
-        if counters is not None:
-            counters.record_forest(forest)
-        acc.drawn += 1
-    return acc
-
-
-def cv_beta(acc: CVAccumulator) -> float:
-    """Least-squares β̂ = Ĉov(a, t) / V̂ar(t) pooled over all nodes.
-
-    Computed from the mergeable sums alone:
-    ``β̂ = [Σ_v S_at,v − (1/F)·Σ_v S_a,v·S_t,v]
-    / [Σ_v S_tt,v − (1/F)·Σ_v S_t,v²]``.  Degenerate variates
-    (``V̂ar(t) ≈ 0``, e.g. a single forest or a regular graph where t
-    is a.s. constant) fall back to β = 0, i.e. the unadjusted basic
-    estimator.
-    """
-    if acc.drawn <= 1:
-        return 0.0
-    drawn = float(acc.drawn)
-    covariance = float(acc.at_sums.sum()
-                       - (acc.sums * acc.t_sums).sum() / drawn)
-    variance = float(acc.tt_sums.sum()
-                     - (acc.t_sums * acc.t_sums).sum() / drawn)
-    if variance <= 1e-12 * max(1.0, float(acc.tt_sums.sum())):
-        return 0.0
-    return covariance / variance
-
-
-def cv_combine(acc: CVAccumulator, expected: np.ndarray,
-               counters=None) -> tuple[np.ndarray, float]:
-    """Adjusted estimate ``ā − β̂·(t̄ − E[t])`` plus the fitted β̂.
-
-    ``expected`` is the variate's known expectation (the degree vector
-    for :func:`root_degree_mass`).  Credits ``counters.cv_fits`` with
-    the one regression fit this batch performed.
-    """
-    if acc.drawn <= 0:
-        raise ConfigError("cv_combine needs at least one forest")
-    beta = cv_beta(acc)
-    expected = np.asarray(expected, dtype=np.float64)
-    estimate = (acc.sums - beta * (acc.t_sums - acc.drawn * expected))
-    estimate /= acc.drawn
-    if counters is not None:
-        counters.cv_fits += 1
-    return estimate, beta
-
-
-def cv_stderr(acc: CVAccumulator, beta: float) -> np.ndarray:
-    """Per-node standard error of the β-adjusted mean estimate.
-
-    Treats β as fixed: ``Var(a − β·t) = Var(a) − 2β·Cov(a, t)
-    + β²·Var(t)`` per node, all readable from the accumulator sums.
-    Requires ``track_squares`` accumulation.
-    """
-    if acc.squares is None:
-        raise ConfigError("cv_stderr needs track_squares accumulation")
-    if acc.drawn <= 1:
-        return np.zeros_like(acc.sums)
-    drawn = float(acc.drawn)
-    mean_a = acc.sums / drawn
-    mean_t = acc.t_sums / drawn
-    var = (acc.squares / drawn - mean_a * mean_a
-           - 2.0 * beta * (acc.at_sums / drawn - mean_a * mean_t)
-           + beta * beta * (acc.tt_sums / drawn - mean_t * mean_t))
-    return np.sqrt(np.maximum(var, 0.0) / drawn)

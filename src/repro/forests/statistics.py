@@ -24,8 +24,7 @@ import numpy as np
 
 from repro.exceptions import ConfigError
 from repro.forests.batch_sampling import sample_forests_batch
-from repro.forests.estimators import (accumulate_cv_estimates,
-                                      accumulate_estimates, cv_combine)
+from repro.forests.estimators import accumulate_estimates
 from repro.forests.sampling import sample_forests
 from repro.graph.csr import Graph
 from repro.rng import ensure_rng
@@ -119,11 +118,6 @@ def _batch_mean_estimate(graph: Graph, alpha: float, residual: np.ndarray,
             forests, residual, graph.degrees, kind=kind, improved=True)
         return sums / drawn
     forests = sample_forests_batch(graph, alpha, num_forests, rng=rng)
-    if mode == "control_variate":
-        acc = accumulate_cv_estimates(forests, residual, graph.degrees,
-                                      kind=kind)
-        estimate, _ = cv_combine(acc, graph.degrees)
-        return estimate
     improved = mode == "improved"
     sums, _, drawn = accumulate_estimates(
         forests, residual, graph.degrees, kind=kind, improved=improved)
@@ -152,13 +146,12 @@ def empirical_variance_ratio(graph: Graph, alpha: float,
     ``ForestIndex.recommended_size`` discount ω.
 
     Modes: ``"basic"``, ``"improved"`` (i.i.d. forests, the named
-    estimator), ``"stratified"`` (Latin-hypercube-coupled batch,
-    improved estimator), ``"control_variate"`` (i.i.d. forests, basic
-    estimator with the fitted degree-mass variate).
+    estimator) and ``"stratified"`` (Latin-hypercube-coupled batch,
+    improved estimator).
     """
     if repetitions < 2:
         raise ConfigError("repetitions must be >= 2")
-    known = ("basic", "improved", "stratified", "control_variate")
+    known = ("basic", "improved", "stratified")
     for label in (mode, baseline_mode):
         if label not in known:
             raise ConfigError(

@@ -72,33 +72,29 @@ class DynamicForestIndex(ForestIndex):
     @classmethod
     def build(cls, graph: Graph, alpha: float, num_forests: int,
               rng: np.random.Generator | int | None = None,
-              method: str = "cycle_popping",
               workers: int | None = 1,
               variance_mode: str = "improved") -> "DynamicForestIndex":
         """Sample ``num_forests`` forests, keeping their arrow records.
 
-        The stored forests are bit-identical to
+        Sampling is always cycle popping, the only sampler with a stack
+        formulation to record, whatever α is; at α at or above
+        :data:`~repro.forests.sampling.AUTO_SAMPLER_ALPHA_THRESHOLD` the
+        stored forests are therefore bit-identical to
         :meth:`ForestIndex.build` at the same seed.  Recording is tied
         to the sampling loop, so the build always runs in-process;
-        ``workers`` is accepted for signature parity and ignored, and
-        ``method`` must stay ``"cycle_popping"`` (the only sampler with
-        a stack formulation to record).  ``variance_mode`` must stay
-        ``"improved"``: stratified sampling couples forests through a
-        batch-wide grid whose arrow draws have no per-forest stack
-        replay, so repaired forests could not reproduce the coupled
-        law.
+        ``workers`` is accepted for signature parity and ignored.
+        ``variance_mode`` must stay ``"improved"``: stratified sampling
+        couples forests through a batch-wide grid whose arrow draws
+        have no per-forest stack replay, so repaired forests could not
+        reproduce the coupled law.
         """
         if num_forests <= 0:
             raise ConfigError("num_forests must be positive")
-        if method not in ("cycle_popping", "auto"):
-            raise ConfigError(
-                f"dynamic indexes require the cycle_popping sampler, "
-                f"got method={method!r}")
         if variance_mode != "improved":
             raise ConfigError(
                 f"dynamic indexes require variance_mode='improved' "
-                f"(recorded sampling has no stratified/control-variate "
-                f"replay), got {variance_mode!r}")
+                f"(recorded sampling has no stratified replay), "
+                f"got {variance_mode!r}")
         del workers
         counters = WorkCounters()
         generator = ensure_rng(rng)

@@ -26,8 +26,6 @@ import numpy as np
 from repro.counters import WorkCounters
 from repro.exceptions import ConfigError
 from repro.forests.estimators import (
-    accumulate_cv_estimates,
-    cv_combine,
     source_estimate_basic,
     source_estimate_improved,
     target_estimate_basic,
@@ -475,10 +473,14 @@ class ForestIndex:
     @classmethod
     def build(cls, graph: Graph, alpha: float, num_forests: int,
               rng: np.random.Generator | int | None = None,
-              method: str = "cycle_popping",
               workers: int | None = 1,
               variance_mode: str = "improved") -> "ForestIndex":
         """Sample and store ``num_forests`` independent forests.
+
+        The sampler follows α as in
+        :func:`~repro.forests.sampling.sample_forest` (Wilson below
+        :data:`~repro.forests.sampling.AUTO_SAMPLER_ALPHA_THRESHOLD`,
+        cycle popping at and above it).
 
         ``workers > 1`` fans the sampling out over worker processes via
         the chunked engine (:mod:`repro.parallel.engine`); the stored
@@ -503,24 +505,19 @@ class ForestIndex:
             raise ConfigError(
                 f"variance_mode must be one of {VARIANCE_MODES}, "
                 f"got {variance_mode!r}")
-        if variance_mode == "control_variate" and graph.directed:
-            raise ConfigError(
-                "variance_mode='control_variate' is only unbiased on "
-                "undirected graphs")
         counters = WorkCounters()
         stratified = variance_mode == "stratified"
         started = time.perf_counter()
         if workers is not None and workers == 1:
             # serial stratified build couples the WHOLE bank in one
             # stratum grid — the strongest coupling available
-            sample_method = "stratified" if stratified else method
-            forests = list(sample_forests(graph, alpha, num_forests, rng=rng,
-                                          method=sample_method,
-                                          counters=counters))
+            forests = list(sample_forests(
+                graph, alpha, num_forests, rng=rng,
+                method="stratified" if stratified else "auto",
+                counters=counters))
         else:
             forests = sample_forests_parallel(graph, alpha, num_forests,
                                               rng=rng, workers=workers,
-                                              method=method,
                                               counters=counters,
                                               stratified=stratified)
         # materialise each forest's degree-mass cache now so queries
@@ -817,9 +814,18 @@ class ForestIndex:
         :meth:`estimate_target_many` (all the batch solvers need) but
         has no per-forest objects.
         """
+        from repro.core.config import VARIANCE_MODES
+
         if meta.get("kind") != "forest-index":
             raise ConfigError(
                 f"bank is not a forest index (kind={meta.get('kind')!r})")
+        # v1/v2 banks predate these keys: improved, identity layout,
+        # float64
+        variance_mode = str(meta.get("variance_mode", "improved"))
+        if variance_mode not in VARIANCE_MODES:
+            raise ConfigError(
+                f"bank variance_mode {variance_mode!r} is not supported; "
+                f"supported modes are {VARIANCE_MODES}")
         cls._check_graph_match(graph, int(meta["num_nodes"]),
                                meta.get("degree_checksum"), "index bank")
         index = cls(graph, float(meta["alpha"]), [],
@@ -829,8 +835,7 @@ class ForestIndex:
         index._operators_cache = _BankOperators.from_arrays(
             arrays, num_nodes=graph.num_nodes,
             num_forests=int(meta["num_forests"]))
-        # v1/v2 banks predate these keys: identity layout, float64
-        index.variance_mode = str(meta.get("variance_mode", "improved"))
+        index.variance_mode = variance_mode
         index.bank_node_order = str(meta.get("node_order", "none"))
         index.bank_dtype = str(meta.get("bank_dtype", "float64"))
         if index._operators_cache.local_nodes is not None:
@@ -1002,39 +1007,9 @@ class ForestIndex:
             estimates += estimator(forest, residual)
         return estimates / self.num_forests
 
-    def _estimate_cv(self, residual: np.ndarray, kind: str) -> np.ndarray:
-        """Control-variate bank mean over the stored forests.
-
-        Rides the *basic* estimator (the improved one is the variate's
-        conditional expectation, so their covariance vanishes) and
-        regresses against the degree-mass variate, whose expectation
-        is the degree vector on undirected graphs.
-        """
-        if not self.forests:
-            raise ConfigError(
-                "control_variate estimation needs stored forests; this "
-                "index is operator-only (attached from a bank)")
-        if self.graph.directed:
-            raise ConfigError(
-                "variance_mode='control_variate' is only unbiased on "
-                "undirected graphs")
-        degrees = self.graph.degrees
-        acc = accumulate_cv_estimates(self.forests, residual, degrees,
-                                      kind=kind)
-        estimate, _beta = cv_combine(acc, degrees)
-        return estimate
-
     def estimate_source(self, residual: np.ndarray, *,
-                        improved: bool = True,
-                        variance_mode: str | None = None) -> np.ndarray:
-        """Average single-source forest estimate over the stored bank.
-
-        ``variance_mode="control_variate"`` applies the regression
-        adjustment of :func:`repro.forests.estimators.cv_combine`
-        instead of the plain mean (``improved`` is then ignored).
-        """
-        if variance_mode == "control_variate":
-            return self._estimate_cv(residual, "source")
+                        improved: bool = True) -> np.ndarray:
+        """Average single-source forest estimate over the stored bank."""
         degrees = self.graph.degrees
         if improved:
             return self._combine(
@@ -1043,15 +1018,8 @@ class ForestIndex:
         return self._combine(residual, source_estimate_basic)
 
     def estimate_target(self, residual: np.ndarray, *,
-                        improved: bool = True,
-                        variance_mode: str | None = None) -> np.ndarray:
-        """Average single-target forest estimate over the stored bank.
-
-        ``variance_mode="control_variate"`` as in
-        :meth:`estimate_source`.
-        """
-        if variance_mode == "control_variate":
-            return self._estimate_cv(residual, "target")
+                        improved: bool = True) -> np.ndarray:
+        """Average single-target forest estimate over the stored bank."""
         degrees = self.graph.degrees
         if improved:
             return self._combine(

@@ -36,8 +36,7 @@ import numpy as np
 from repro.counters import WorkCounters
 from repro.exceptions import ConfigError
 from repro.forests.batch_sampling import sample_forests_batch
-from repro.forests.estimators import (CVAccumulator, accumulate_cv_estimates,
-                                      accumulate_estimates)
+from repro.forests.estimators import accumulate_estimates
 from repro.forests.forest import RootedForest
 from repro.forests.sampling import sample_forests
 from repro.graph.csr import Graph
@@ -93,13 +92,7 @@ def _fork_available() -> bool:
 
 @dataclass
 class StageResult:
-    """Merged output of a chunked estimator stage.
-
-    Under ``variance_mode="control_variate"`` the stage additionally
-    carries the merged variate sums (``cv_t``/``cv_at``/``cv_tt``);
-    :meth:`cv_accumulator` repackages them for the β fit
-    (:func:`repro.forests.estimators.cv_combine`).
-    """
+    """Merged output of a chunked estimator stage."""
 
     sums: np.ndarray
     squares: np.ndarray | None
@@ -107,9 +100,6 @@ class StageResult:
     counters: WorkCounters = field(default_factory=WorkCounters)
     num_chunks: int = 0
     workers_used: int = 1
-    cv_t: np.ndarray | None = None
-    cv_at: np.ndarray | None = None
-    cv_tt: np.ndarray | None = None
 
     @property
     def mean(self) -> np.ndarray:
@@ -125,15 +115,6 @@ class StageResult:
         mean = self.mean
         variance = np.maximum(self.squares / self.drawn - mean * mean, 0.0)
         return np.sqrt(variance / self.drawn)
-
-    def cv_accumulator(self) -> CVAccumulator:
-        """The stage's control-variate sums as one mergeable record."""
-        if self.cv_t is None:
-            raise ConfigError(
-                "stage was not run with variance_mode='control_variate'")
-        return CVAccumulator(sums=self.sums, squares=self.squares,
-                             t_sums=self.cv_t, at_sums=self.cv_at,
-                             tt_sums=self.cv_tt, drawn=self.drawn)
 
 
 # ----------------------------------------------------------------------
@@ -156,11 +137,11 @@ def _run_sample_chunk(task) -> list[RootedForest]:
                                     rng=generator,
                                     stratified=bool(ctx.get("stratified")))
     return list(sample_forests(ctx["graph"], ctx["alpha"], chunk_count,
-                               rng=generator, method=ctx["method"]))
+                               rng=generator))
 
 
 def _run_estimate_chunk(task) -> tuple[np.ndarray, np.ndarray | None,
-                                       int, dict, tuple | None]:
+                                       int, dict]:
     chunk_count, generator = task
     ctx = _WORKER_CTX
     counters = WorkCounters()
@@ -172,20 +153,14 @@ def _run_estimate_chunk(task) -> tuple[np.ndarray, np.ndarray | None,
         sums, squares, drawn = accumulate_estimates(
             forests, ctx["residual"], ctx["degrees"], kind=ctx["kind"],
             improved=ctx["improved"], track_squares=ctx["track_squares"])
-        return sums, squares, drawn, counters.as_dict(), None
+        return sums, squares, drawn, counters.as_dict()
     forests = sample_forests(ctx["graph"], ctx["alpha"], chunk_count,
-                             rng=generator, method=ctx["method"])
-    if mode == "control_variate":
-        acc = accumulate_cv_estimates(
-            forests, ctx["residual"], ctx["degrees"], kind=ctx["kind"],
-            track_squares=ctx["track_squares"], counters=counters)
-        return (acc.sums, acc.squares, acc.drawn, counters.as_dict(),
-                (acc.t_sums, acc.at_sums, acc.tt_sums))
+                             rng=generator)
     sums, squares, drawn = accumulate_estimates(
         forests, ctx["residual"], ctx["degrees"], kind=ctx["kind"],
         improved=ctx["improved"], track_squares=ctx["track_squares"],
         counters=counters)
-    return sums, squares, drawn, counters.as_dict(), None
+    return sums, squares, drawn, counters.as_dict()
 
 
 def _run_chunked(graph: Graph, ctx: dict, runner, tasks: list,
@@ -224,7 +199,6 @@ def _tasks_for(count: int, rng, chunk_size: int | None) -> list:
 def sample_forests_parallel(graph: Graph, alpha: float, count: int,
                             rng: np.random.Generator | int | None = None, *,
                             workers: int | None = 1,
-                            method: str = "cycle_popping",
                             batch: bool = False,
                             chunk_size: int | None = None,
                             counters: WorkCounters | None = None,
@@ -236,13 +210,12 @@ def sample_forests_parallel(graph: Graph, alpha: float, count: int,
     ----------
     workers:
         Worker processes (``None``/``0`` → cpu count, ``1`` → serial).
-    method:
-        Sampler per forest (as :func:`~repro.forests.sampling.sample_forest`);
-        ignored when ``batch`` is set.
     batch:
         Use the layered batch sampler
         (:func:`~repro.forests.batch_sampling.sample_forests_batch`)
-        inside each chunk instead of one-at-a-time sampling.
+        inside each chunk instead of one-at-a-time sampling, which
+        otherwise picks its sampler from α as
+        :func:`~repro.forests.sampling.sample_forest` does.
     counters:
         Optional :class:`~repro.counters.WorkCounters` accumulating the
         work done across all chunks.
@@ -260,8 +233,7 @@ def sample_forests_parallel(graph: Graph, alpha: float, count: int,
     if chunk_size is None and stratified:
         chunk_size = STRATIFIED_CHUNK_SIZE
     tasks = _tasks_for(count, rng, chunk_size)
-    ctx = {"alpha": alpha, "method": method, "batch": batch,
-           "stratified": stratified}
+    ctx = {"alpha": alpha, "batch": batch, "stratified": stratified}
     results, _ = _run_chunked(graph, ctx, _run_sample_chunk, tasks,
                               resolve_workers(workers))
     forests: list[RootedForest] = []
@@ -278,7 +250,6 @@ def parallel_estimate_stage(graph: Graph, alpha: float, count: int,
                             kind: str, improved: bool,
                             rng: np.random.Generator | int | None = None,
                             workers: int | None = 1,
-                            method: str = "cycle_popping",
                             track_squares: bool = False,
                             chunk_size: int | None = None,
                             variance_mode: str = "improved") -> StageResult:
@@ -290,10 +261,10 @@ def parallel_estimate_stage(graph: Graph, alpha: float, count: int,
 
     ``variance_mode`` selects the variance-reduction machinery:
     ``"improved"`` (the historical path — the ``improved`` flag picks
-    basic vs conditional-MC), ``"stratified"`` (Latin-hypercube-coupled
-    chunks via the batch sampler, same estimator as ``improved``), or
-    ``"control_variate"`` (basic estimator plus mergeable variate sums;
-    the caller fits β via :meth:`StageResult.cv_accumulator`).
+    basic vs conditional-MC; the sampler follows α as in
+    :func:`~repro.forests.sampling.sample_forest`) or ``"stratified"``
+    (Latin-hypercube-coupled chunks via the batch sampler, same
+    estimator as ``improved``).
 
     Returns a :class:`StageResult` whose ``sums``/``squares``/``drawn``
     match a serial chunk-ordered fold bit for bit, for any ``workers``.
@@ -305,18 +276,13 @@ def parallel_estimate_stage(graph: Graph, alpha: float, count: int,
             f"got {residual.shape}")
     if chunk_size is None and variance_mode == "stratified":
         chunk_size = STRATIFIED_CHUNK_SIZE
-    cv = variance_mode == "control_variate"
     if count == 0:
-        zeros = np.zeros(graph.num_nodes)
         return StageResult(
-            sums=zeros.copy(),
+            sums=np.zeros(graph.num_nodes),
             squares=np.zeros(graph.num_nodes) if track_squares else None,
-            drawn=0,
-            cv_t=zeros.copy() if cv else None,
-            cv_at=zeros.copy() if cv else None,
-            cv_tt=zeros.copy() if cv else None)
+            drawn=0)
     tasks = _tasks_for(count, rng, chunk_size)
-    ctx = {"alpha": alpha, "method": method, "kind": kind,
+    ctx = {"alpha": alpha, "kind": kind,
            "improved": improved, "residual": residual,
            "degrees": graph.degrees, "track_squares": track_squares,
            "variance_mode": variance_mode}
@@ -324,23 +290,14 @@ def parallel_estimate_stage(graph: Graph, alpha: float, count: int,
                                  resolve_workers(workers))
     sums = np.zeros(graph.num_nodes)
     squares = np.zeros(graph.num_nodes) if track_squares else None
-    cv_t = np.zeros(graph.num_nodes) if cv else None
-    cv_at = np.zeros(graph.num_nodes) if cv else None
-    cv_tt = np.zeros(graph.num_nodes) if cv else None
     drawn = 0
     counters = WorkCounters()
-    for (chunk_sums, chunk_squares, chunk_drawn, chunk_counters,
-         chunk_cv) in results:
+    for chunk_sums, chunk_squares, chunk_drawn, chunk_counters in results:
         sums += chunk_sums
         if squares is not None and chunk_squares is not None:
             squares += chunk_squares
-        if cv and chunk_cv is not None:
-            cv_t += chunk_cv[0]
-            cv_at += chunk_cv[1]
-            cv_tt += chunk_cv[2]
         drawn += chunk_drawn
         counters.merge(WorkCounters(**chunk_counters))
     return StageResult(sums=sums, squares=squares, drawn=drawn,
                        counters=counters, num_chunks=len(tasks),
-                       workers_used=used, cv_t=cv_t, cv_at=cv_at,
-                       cv_tt=cv_tt)
+                       workers_used=used)

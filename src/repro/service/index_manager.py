@@ -249,11 +249,9 @@ class IndexManager:
             return _ManagedIndex(index, generation, seed)
         if self.dynamic:
             # recorded sampling: repairable banks, cycle popping only
-            index = DynamicForestIndex.build(graph, alpha, size, rng=seed,
-                                             method="cycle_popping")
+            index = DynamicForestIndex.build(graph, alpha, size, rng=seed)
         else:
             index = ForestIndex.build(graph, alpha, size, rng=seed,
-                                      method=self.config.sampler,
                                       workers=self.config.workers,
                                       variance_mode=self.config.variance_mode)
         with self._lock:
@@ -379,11 +377,10 @@ class IndexManager:
                 # no records to replay: the bank must be resampled
                 # against the new graph (correct, just not incremental)
                 with span.child("rebuild"):
-                    size = entry.index.num_forests
-                    index = ForestIndex.build(new_graph, alpha, size,
-                                              rng=seed,
-                                              method=self.config.sampler,
-                                              workers=self.config.workers)
+                    index = ForestIndex.build(
+                        new_graph, alpha, entry.index.num_forests, rng=seed,
+                        workers=self.config.workers,
+                        variance_mode=entry.index.variance_mode)
                 counters.merge(index.build_counters)
                 repaired_flags[key] = False
             replacements[key] = _ManagedIndex(index, generation, seed)

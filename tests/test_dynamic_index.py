@@ -58,9 +58,6 @@ class TestBuild:
         index = DynamicForestIndex.build(graph, ALPHA, 2, rng=0,
                                          workers=8)
         assert index.num_forests == 2
-        with pytest.raises(ConfigError, match="cycle_popping"):
-            DynamicForestIndex.build(graph, ALPHA, 2, rng=0,
-                                     method="wilson")
         with pytest.raises(ConfigError, match="positive"):
             DynamicForestIndex.build(graph, ALPHA, 0, rng=0)
 
@@ -199,6 +196,24 @@ class TestIndexManagerMutate:
         bank = summary["banks"]["g@0.2"]
         assert bank["repaired"] is False
         assert summary["work"]["walk_steps"] > 0
+
+    def test_static_rebuild_keeps_the_bank_variance_mode(self, graph,
+                                                          tmp_path):
+        # a stratified bank preloaded from disk: its ω was discounted by
+        # the stratified gain, so the rebuild must stay stratified
+        bank = ForestIndex.build(graph, ALPHA, 20, rng=3,
+                                 variance_mode="stratified")
+        bank.save_bank(tmp_path / "bank")
+        config = ServiceConfig(graph="g", alpha=ALPHA, seed=SEED,
+                               budget_scale=0.05).ppr_config()
+        manager = IndexManager(config, bank_dir=str(tmp_path / "bank"))
+        manager.register_graph("g", graph)
+        assert manager.warm("g", ALPHA).variance_mode == "stratified"
+        manager.mutate("g", GraphDelta().upsert_edge(0, 20, 2.0))
+        rebuilt = manager.get_index("g", ALPHA)
+        assert rebuilt.num_forests == 20
+        assert rebuilt.variance_mode == "stratified"
+        assert rebuilt.build_counters.strata > 0
 
     def test_solvers_rebind_to_new_graph(self, graph):
         manager = self._manager(graph, dynamic=True)

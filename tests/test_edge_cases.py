@@ -13,7 +13,8 @@ from repro.forests.sampling import (
 from repro.graph import from_edges
 from repro.graph.generators import erdos_renyi, path_graph, star_graph
 from repro.linalg import exact_single_source
-from repro.montecarlo import WalkIndex
+from repro.montecarlo import ForestIndex, WalkIndex
+from repro.parallel.engine import sample_forests_parallel
 
 
 class TestExceptionHierarchy:
@@ -39,6 +40,21 @@ class TestAutoSamplerSelection:
                               method="auto")
         assert above.method == "cycle_popping"
         assert below.method == "wilson"
+
+    @pytest.mark.parametrize("alpha, expected", [
+        (AUTO_SAMPLER_ALPHA_THRESHOLD / 2, "wilson"),
+        (AUTO_SAMPLER_ALPHA_THRESHOLD, "cycle_popping"),
+    ])
+    def test_every_entry_point_follows_the_rule(self, k5, alpha, expected):
+        # the threshold in sample_forest is the one place the sampler
+        # is chosen; index builds and the chunked engine inherit it
+        banks = [
+            ForestIndex.build(k5, alpha, 3, rng=0, workers=1).forests,
+            ForestIndex.build(k5, alpha, 3, rng=0, workers=2).forests,
+            sample_forests_parallel(k5, alpha, 3, rng=0, workers=2),
+        ]
+        for forests in banks:
+            assert [f.method for f in forests] == [expected] * 3
 
 
 class TestWalkStageThinning:

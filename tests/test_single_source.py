@@ -119,10 +119,6 @@ class TestMetadata:
         with pytest.raises(ConfigError):
             foralv(medium_graph, 10**6, _config())
 
-    def test_sampler_override_wilson(self, medium_graph):
-        result = foralv(medium_graph, 0, _config(sampler="wilson"))
-        assert result.stats["num_forests"] >= 1
-
 
 class TestIndexedVariants:
     def test_fora_plus(self, medium_graph):

@@ -7,24 +7,22 @@ Pins down the three claims behind the mode knob:
   stratified banks at least halving the bank-mean variance of i.i.d.
   improved banks at equal forest count — the ≥1.5× gain that
   ``VARIANCE_GAIN`` encodes and ``recommended_size`` discounts by.
-- **unbiasedness.** Coupling/regressing changes variance only: every
-  mode's estimates still converge to the exact PPR vector.
+- **unbiasedness.** Coupling changes variance only: every mode's
+  estimates still converge to the exact PPR vector.
 - **plumbing.** The mode flows from ``PPRConfig`` / solver kwargs down
   to the samplers and estimators, is recorded on indexes and in stats,
-  and the new work counters (``strata``, ``cv_fits``) are credited.
+  and the ``strata`` work counter is credited.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.api import single_source
 from repro.core.config import VARIANCE_GAIN, VARIANCE_MODES, PPRConfig
-from repro.counters import WorkCounters
 from repro.exceptions import ConfigError
-from repro.forests.estimators import (accumulate_cv_estimates,
-                                      cv_combine)
 from repro.forests.statistics import empirical_variance_ratio
-from repro.graph import from_edges
 from repro.graph.generators import chung_lu
 from repro.linalg.exact import ExactSolver
 from repro.montecarlo.forest_index import ForestIndex
@@ -38,12 +36,6 @@ def graph():
     return chung_lu(degrees, rng=7)
 
 
-@pytest.fixture(scope="module")
-def directed_graph():
-    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)]
-    return from_edges(edges, directed=True, num_nodes=4)
-
-
 class TestEmpiricalVarianceHarness:
     """The acceptance measurement behind VARIANCE_GAIN."""
 
@@ -55,20 +47,9 @@ class TestEmpiricalVarianceHarness:
             mode="stratified", baseline_mode="improved", rng=7)
         assert ratio >= 1.5
 
-    def test_control_variate_beats_basic_on_spread_residuals(self, graph):
-        # the degree-mass variate correlates with the basic estimate
-        # when residual mass covers many trees; the gain is largest
-        # exactly where the basic estimator is noisiest
-        residual = np.full(graph.num_nodes, 1.0 / graph.num_nodes)
-        ratio = empirical_variance_ratio(
-            graph, ALPHA, residual, num_forests=16, repetitions=60,
-            mode="control_variate", baseline_mode="basic", rng=7)
-        assert ratio >= 10.0
-
     def test_gain_constants_are_conservative(self):
         # the table promises no more than what the harness measures
         assert VARIANCE_GAIN["improved"] == 1.0
-        assert VARIANCE_GAIN["control_variate"] == 1.0
         assert 1.0 < VARIANCE_GAIN["stratified"] <= 1.5
 
     def test_harness_validation(self, graph):
@@ -96,24 +77,6 @@ class TestUnbiasedness:
         # live in TestEmpiricalVarianceHarness
         assert np.abs(estimate - exact).sum() < 0.6
 
-    def test_control_variate_estimate_matches_exact(self, graph):
-        # uniform residual: the regime the degree-mass variate is
-        # built for — the CV fold should land close to the exact
-        # row-averaged PPR even from a small bank
-        residual = np.full(graph.num_nodes, 1.0 / graph.num_nodes)
-        solver = ExactSolver(graph, ALPHA)
-        exact = solver.resolvent_solve(ALPHA * residual, transpose=True)
-        index = ForestIndex.build(graph, ALPHA, 64, rng=5)
-        estimate = index.estimate_source(
-            residual, variance_mode="control_variate")
-        assert estimate.sum() == pytest.approx(1.0)
-        assert np.abs(estimate - exact).sum() < 0.05
-        # and it beats the basic mean it rides on
-        basic = index.estimate_source(residual, improved=False)
-        assert (np.abs(estimate - exact).sum()
-                < np.abs(basic - exact).sum())
-
-
 class TestBuildModes:
     def test_stratified_build_records_mode_and_strata(self, graph):
         index = ForestIndex.build(graph, ALPHA, 8, rng=3,
@@ -134,37 +97,19 @@ class TestBuildModes:
             ForestIndex.build(graph, ALPHA, 2, rng=3,
                               variance_mode="antithetic")
 
-    def test_control_variate_build_rejected_on_directed(
-            self, directed_graph):
-        with pytest.raises(ConfigError, match="undirected"):
-            ForestIndex.build(directed_graph, ALPHA, 2, rng=3,
-                              variance_mode="control_variate")
-
-    def test_cv_estimate_rejected_on_directed(self, directed_graph):
-        index = ForestIndex.build(directed_graph, ALPHA, 2, rng=3)
-        with pytest.raises(ConfigError, match="undirected"):
-            index.estimate_source(np.ones(4) / 4,
-                                  variance_mode="control_variate")
-
-    def test_cv_estimate_needs_stored_forests(self, graph, tmp_path):
+    @pytest.mark.parametrize("mode", ["control_variate", "bogus"])
+    def test_bank_with_unknown_mode_rejected(self, graph, tmp_path, mode):
         index = ForestIndex.build(graph, ALPHA, 2, rng=3)
         index.save_bank(tmp_path / "bank")
-        attached = ForestIndex.load_bank(tmp_path / "bank", graph)
-        with pytest.raises(ConfigError, match="stored forests"):
-            attached.estimate_source(np.ones(graph.num_nodes),
-                                     variance_mode="control_variate")
-
-    def test_cv_fits_counter_credited(self, graph):
-        index = ForestIndex.build(graph, ALPHA, 4, rng=3)
-        residual = np.zeros(graph.num_nodes)
-        residual[0] = 1.0
-        counters = WorkCounters()
-        acc = accumulate_cv_estimates(index.forests, residual,
-                                      graph.degrees, kind="source",
-                                      counters=counters)
-        _, beta = cv_combine(acc, graph.degrees, counters=counters)
-        assert counters.cv_fits == 1
-        assert np.isfinite(beta)
+        manifest_path = tmp_path / "bank" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["variance_mode"] = mode
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError) as excinfo:
+            ForestIndex.load_bank(tmp_path / "bank", graph)
+        message = str(excinfo.value)
+        assert repr(mode) in message
+        assert "'improved'" in message and "'stratified'" in message
 
 
 class TestRecommendedSize:
@@ -193,8 +138,7 @@ class TestRecommendedSize:
 
 class TestConfigPlumbing:
     def test_modes_table_is_closed(self):
-        assert VARIANCE_MODES == ("improved", "control_variate",
-                                  "stratified")
+        assert VARIANCE_MODES == ("improved", "stratified")
         assert set(VARIANCE_GAIN) == set(VARIANCE_MODES)
 
     def test_config_rejects_unknown_mode(self):
@@ -207,14 +151,6 @@ class TestConfigPlumbing:
                                variance_mode="stratified")
         assert result.stats["variance_mode"] == "stratified"
         assert result.estimates.sum() == pytest.approx(1.0, abs=1e-6)
-
-    def test_cv_solver_fits_a_coefficient(self, graph):
-        result = single_source(graph, 0, method="speedlv", alpha=ALPHA,
-                               epsilon=0.5, seed=9,
-                               variance_mode="control_variate")
-        assert result.stats["variance_mode"] == "control_variate"
-        assert "cv_beta" in result.stats
-        assert result.stats["work_cv_fits"] >= 1
 
     def test_stratified_and_improved_agree_statistically(self, graph):
         # same seed, different coupling: answers differ but both are
