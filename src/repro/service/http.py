@@ -39,7 +39,10 @@ block.
 Error mapping: malformed body → 400, unknown path → 404, queue
 backpressure (:class:`~repro.service.scheduler.SchedulerFull`) → 429
 with a ``Retry-After`` header, configuration errors → 400, anything
-else → 500.  Responses are always JSON except ``/metrics``.
+else → 500.  Responses are always JSON except ``/metrics``.  A POST
+answered before its body was read (unknown path, oversize or missing
+length) closes the keep-alive connection: the unread bytes are not at
+a request boundary.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ class PPRServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: PPRServiceServer
     protocol_version = "HTTP/1.1"
+    #: True while a POST's declared body is still on the socket
+    _unread = False
 
     # the default handler logs every request to stderr; route through
     # nothing — the service has /metrics for observability
@@ -90,6 +95,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self._unread:
+            # answered without reading the body: the stream is no
+            # longer at a request boundary, so keep-alive must end
+            self.close_connection = True
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -98,7 +108,9 @@ class _Handler(BaseHTTPRequestHandler):
         if not 0 < length <= _MAX_BODY_BYTES:
             raise ValueError(f"body length {length} outside "
                              f"(0, {_MAX_BODY_BYTES}]")
-        payload = json.loads(self.rfile.read(length))
+        raw = self.rfile.read(length)
+        self._unread = False
+        payload = json.loads(raw)
         if not isinstance(payload, dict):
             raise ValueError("body must be a JSON object")
         return payload
@@ -122,57 +134,28 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         split = urlsplit(self.path)
+        self._unread = True
         # inbound correlation id (minted here when the client sent
         # none) — echoed on EVERY response below, 404s and errors
         # included, so clients can always correlate failures
         request_id = (self.headers.get("X-Request-Id")
                       or new_request_id())
         echo = {"X-Request-Id": request_id}
-        if split.path not in ("/query", "/topk", "/multiseed", "/pair",
-                              "/mutate"):
+        route = _POST_ROUTES.get(split.path)
+        if route is None:
             self._send(404, {"error": f"unknown path {self.path!r}"},
                        headers=echo)
             return
+        method, parse = route
         query_args = parse_qs(split.query)
         debug = query_args.get("debug", ["0"])[-1] not in ("", "0",
                                                            "false")
         tenant = (self.headers.get("X-Tenant")
                   or query_args.get("tenant", [None])[-1])
         try:
-            body = self._read_json()
-            service = self.server.service
-            if split.path == "/query":
-                payload = service.query(
-                    str(body.get("kind", "source")), int(body["node"]),
-                    alpha=_opt_float(body, "alpha"),
-                    epsilon=_opt_float(body, "epsilon"),
-                    top=int(body.get("top", 10)),
-                    request_id=request_id, tenant=tenant, debug=debug)
-            elif split.path == "/topk":
-                payload = service.query_topk(
-                    int(body["node"]), int(body["k"]),
-                    alpha=_opt_float(body, "alpha"),
-                    epsilon=_opt_float(body, "epsilon"),
-                    request_id=request_id, tenant=tenant, debug=debug)
-            elif split.path == "/multiseed":
-                payload = service.query_multiseed(
-                    [int(seed) for seed in body["seeds"]],
-                    (None if body.get("weights") is None
-                     else [float(w) for w in body["weights"]]),
-                    alpha=_opt_float(body, "alpha"),
-                    epsilon=_opt_float(body, "epsilon"),
-                    top=int(body.get("top", 10)),
-                    request_id=request_id, tenant=tenant, debug=debug)
-            elif split.path == "/mutate":
-                payload = service.mutate(body["ops"],
-                                         request_id=request_id,
-                                         debug=debug)
-            else:
-                payload = service.pair(
-                    int(body["source"]), int(body["target"]),
-                    alpha=_opt_float(body, "alpha"),
-                    epsilon=_opt_float(body, "epsilon"),
-                    request_id=request_id, tenant=tenant, debug=debug)
+            payload = getattr(self.server.service, method)(
+                **parse(self._read_json(), tenant),
+                request_id=request_id, debug=debug)
         except SchedulerFull as full:
             self._send(429, {"error": str(full),
                              "retry_after": full.retry_after},
@@ -194,6 +177,35 @@ class _Handler(BaseHTTPRequestHandler):
 def _opt_float(body: dict, key: str) -> float | None:
     value = body.get(key)
     return None if value is None else float(value)
+
+
+def _alpha_epsilon(body: dict) -> dict:
+    return {"alpha": _opt_float(body, "alpha"),
+            "epsilon": _opt_float(body, "epsilon")}
+
+
+#: POST path → (PPRService method, body parser).  A parser maps the
+#: JSON body and the request's tenant to the method's keywords.
+_POST_ROUTES = {
+    "/query": ("query", lambda body, tenant: {
+        "kind": str(body.get("kind", "source")),
+        "node": int(body["node"]), **_alpha_epsilon(body),
+        "top": int(body.get("top", 10)), "tenant": tenant}),
+    "/topk": ("query_topk", lambda body, tenant: {
+        "node": int(body["node"]), "k": int(body["k"]),
+        **_alpha_epsilon(body), "tenant": tenant}),
+    "/multiseed": ("query_multiseed", lambda body, tenant: {
+        "seeds": [int(seed) for seed in body["seeds"]],
+        "weights": (None if body.get("weights") is None
+                    else [float(weight) for weight in body["weights"]]),
+        **_alpha_epsilon(body), "top": int(body.get("top", 10)),
+        "tenant": tenant}),
+    "/pair": ("pair", lambda body, tenant: {
+        "source": int(body["source"]), "target": int(body["target"]),
+        **_alpha_epsilon(body), "tenant": tenant}),
+    # mutations are not tenant-attributed
+    "/mutate": ("mutate", lambda body, tenant: {"ops": body["ops"]}),
+}
 
 
 def make_server(service: PPRService, host: str | None = None,

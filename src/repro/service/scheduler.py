@@ -254,9 +254,8 @@ class MicroBatchScheduler:
     def submit(self, request: QueryRequest, timeout: float | None = 30.0):
         """Admit and block until the batch containing it executes.
 
-        Returns the request's :class:`~repro.core.result.PPRResult`
-        (pair requests included — the caller reads out entry
-        ``request.source``).
+        Returns the request's result object (see the module
+        docstring for the type each kind answers with).
         """
         return self.submit_nowait(request).resolve(timeout)
 
@@ -321,43 +320,25 @@ class MicroBatchScheduler:
                               if pending.request.tenant})
             if tenants:
                 batch_span.annotate(tenants=tenants)
-        try:
-            if self.executor is not None:
-                # cheap pre-validation so an unknown graph fails at the
-                # same stage it would on the inline path
-                self.index_manager.graph(request.graph)
-                solver = None
-            else:
-                solver = self.index_manager.get_solver(
-                    request.graph, request.solver_kind,
-                    alpha=request.alpha, epsilon=request.epsilon)
-        except BaseException as error:  # propagate to every waiter
-            self._attach_batch_span(traced, batch_span, error=str(error))
-            for pending in batch:
-                pending.disposition = "error"
-                pending.error = error
-                pending.event.set()
-            if self.metrics is not None:
-                self.metrics.record_error()
-            return
         nodes = [pending.request.payload_item for pending in batch]
         work_sum = None
         stats: dict = {}
         started = time.perf_counter()
         try:
-            results = self._fold(request, nodes, solver, batch_span,
-                                 stats)
+            results = self._fold(request, nodes, batch_span, stats)
         except BaseException as error:
+            # a flushed batch counts once whichever stage failed; count
+            # it before waking the waiters, then fail every one of them
+            with self._cond:
+                self.batches_executed += 1
+            if self.metrics is not None:
+                self.metrics.record_error()
+                self.metrics.record_batch(len(batch), {})
             self._attach_batch_span(traced, batch_span, error=str(error))
             for pending in batch:
                 pending.disposition = "error"
                 pending.error = error
                 pending.event.set()
-            if self.metrics is not None:
-                self.metrics.record_error()
-                self.metrics.record_batch(len(batch), {})
-            with self._cond:
-                self.batches_executed += 1
             return
         total_seconds = time.perf_counter() - started
         # worker-reported compute time when the executor served us,
@@ -401,13 +382,14 @@ class MicroBatchScheduler:
         for pending in traced:
             pending.span.add_raw(raw)
 
-    def _fold(self, request: QueryRequest, nodes: list, solver,
-              span, stats: dict):
+    def _fold(self, request: QueryRequest, nodes: list, span,
+              stats: dict):
         """Run one batch — in a worker process when an executor is
         attached (falling back inline on :class:`ExecutorError`),
         inline otherwise.  Both paths run the identical
         ``run_items`` code against the identical bank bytes, so the
-        answers are byte-equal.
+        answers are byte-equal.  The inline path fetches its solver
+        here, so a failed lookup fails the batch like a failed fold.
 
         ``span`` gets a ``dispatch`` child (worker round trip, with
         the worker's own attach/fold spans grafted inside) or an
@@ -417,6 +399,9 @@ class MicroBatchScheduler:
         if self.executor is not None:
             from repro.service.executor import ExecutorError
 
+            # cheap pre-validation so an unknown graph fails at the
+            # same stage it would on the inline path
+            self.index_manager.graph(request.graph)
             try:
                 with span.child("dispatch") as dispatch:
                     results = self.executor.run_batch(
@@ -435,10 +420,9 @@ class MicroBatchScheduler:
                     self.fallback_batches += 1
                 stats.pop("fold_seconds", None)
                 stats["disposition"] = "fallback"
-        if solver is None:
-            solver = self.index_manager.get_solver(
-                request.graph, request.solver_kind,
-                alpha=request.alpha, epsilon=request.epsilon)
+        solver = self.index_manager.get_solver(
+            request.graph, request.solver_kind,
+            alpha=request.alpha, epsilon=request.epsilon)
         with span.child("fold"):
             started = time.perf_counter()
             results = solver.run_items(nodes)

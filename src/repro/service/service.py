@@ -12,6 +12,15 @@ endpoints :meth:`query`, :meth:`query_topk`, :meth:`query_multiseed`,
 methods; benchmarks and tests drive the facade in-process to keep the
 network out of the measurement.
 
+All four query endpoints, and their raw accessors (:meth:`query_result`
+and friends), run one request pipeline: root trace, admission, cache
+lookup, scheduler submit, cache fill, serialization, slow log and the
+``debug`` block.  A query kind supplies only what differs, as the
+module-level ``_admit_*`` (validation and
+:class:`~repro.service.scheduler.QueryRequest` fields) and
+``*_payload`` functions; the cache policy is ε-dominance, plus
+prefix-dominance for top-k.
+
 Every answer is bit-identical to a direct
 :class:`~repro.core.batch.BatchSourceSolver` /
 :class:`~repro.core.batch.BatchTargetSolver` call against the same
@@ -22,6 +31,7 @@ estimates.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from repro.core.batch import normalize_seed_set
 from repro.core.result import PPRResult
@@ -183,7 +193,150 @@ class PPRService:
         self.stop()
         return False
 
-    # -- raw query path (benchmarks / tests) ---------------------------
+    # -- the request pipeline ------------------------------------------
+    def _answer(self, kind: str, admit, *, alpha: float | None,
+                epsilon: float | None, use_cache: bool, span,
+                tenant: str | None = None):
+        """Admission → cache lookup → scheduler → cache fill, for every
+        query kind.
+
+        ``admit(num_nodes, config)`` is the kind's validation; it
+        returns the kind's
+        :class:`~repro.service.scheduler.QueryRequest` fields.
+        ``span`` is the request's root span (:data:`NULL_SPAN` when
+        unsampled — every operation on it is then a free no-op, so
+        this is also the uninstrumented fast path).  Returns
+        ``(request, result, was_cache_hit, meta)`` where ``meta``
+        carries how the request was served (batch size / disposition)
+        for the slow log and debug responses.
+        """
+        alpha = self.config.alpha if alpha is None else float(alpha)
+        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
+        started = time.perf_counter()
+        with span.child("admission"):
+            graph = self.index_manager.graph(self.config.graph)
+            # validate before admission so one bad node can never
+            # fail the whole micro-batch it would have joined
+            request = QueryRequest(graph=self.config.graph, kind=kind,
+                                   alpha=alpha, epsilon=epsilon,
+                                   tenant=tenant,
+                                   **admit(graph.num_nodes, self.config))
+            # top-k caches under its source alone: by prefix-dominance
+            # a stored deeper ranking serves any shallower k
+            topk = kind == "topk"
+            key = cache_key(self.config.graph, "batch", kind,
+                            request.node if topk else request.payload_item,
+                            alpha)
+        self.metrics.record_stage("admission",
+                                  time.perf_counter() - started)
+        if use_cache:
+            lookup_started = time.perf_counter()
+            with span.child("cache_lookup"):
+                cached = (self.cache.get_topk(key, epsilon, request.k)
+                          if topk else self.cache.get(key, epsilon))
+            self.metrics.record_stage(
+                "cache_lookup", time.perf_counter() - lookup_started)
+            if cached is not None:
+                span.annotate(cached=True)
+                self.metrics.record_request(kind,
+                                            time.perf_counter() - started,
+                                            tenant=tenant)
+                return request, cached, True, {"batch_size": None,
+                                               "disposition": "cache"}
+        try:
+            pending = self.scheduler.submit_nowait(request, span)
+            result = pending.resolve(30.0)
+        except SchedulerFull:
+            self.metrics.record_rejection(tenant=tenant)
+            raise
+        if use_cache and topk:
+            self.cache.put_topk(key, epsilon, result.k, result)
+        elif use_cache:
+            self.cache.put(key, epsilon, result)
+        self.metrics.record_request(kind, time.perf_counter() - started,
+                                    tenant=tenant,
+                                    work=result.work.as_dict())
+        return request, result, False, {"batch_size": pending.batch_size,
+                                        "disposition": pending.disposition}
+
+    def _endpoint(self, endpoint: str, kind: str, node: int, admit,
+                  build, annotations: dict, *, alpha: float | None,
+                  epsilon: float | None, use_cache: bool,
+                  request_id: str | None, tenant: str | None,
+                  debug: bool) -> dict:
+        """One JSON endpoint: root trace → :meth:`_answer` → serialize
+        → slow log (and the ``debug`` block).
+
+        ``build(request, result, hit)`` makes the payload; ``node`` is
+        what a failed request logs (a served one logs its request's
+        anchor node)."""
+        request_id = request_id or new_request_id()
+        span = self.tracer.trace(endpoint, request_id, force=debug)
+        span.annotate(endpoint=endpoint, **annotations)
+        if tenant:
+            span.annotate(tenant=tenant)
+        started = time.perf_counter()
+        try:
+            request, result, hit, meta = self._answer(
+                kind, admit, alpha=alpha, epsilon=epsilon,
+                use_cache=use_cache, span=span, tenant=tenant)
+        except BaseException as error:
+            self._observe_failure(span, request_id, endpoint, kind, node,
+                                  alpha, epsilon, started, error,
+                                  tenant=tenant)
+            raise
+        with span.child("serialize"):
+            serialize_started = time.perf_counter()
+            payload = build(request, result, hit)
+            self.metrics.record_stage(
+                "serialize", time.perf_counter() - serialize_started)
+        return self._finish(
+            payload, span, started, meta, debug=debug,
+            request_id=request_id, endpoint=endpoint, kind=kind,
+            node=request.node,
+            alpha=result.alpha, epsilon=result.epsilon, cached=hit,
+            work=result.work.as_dict())
+
+    def _finish(self, payload, span, started: float, meta: dict, *,
+                debug: bool = False, **entry):
+        """Shared tail of every endpoint, failures included: close the
+        trace, write the slow-log ``entry`` (plus ``meta``) and, with
+        ``debug``, inline the span tree and work counters in the
+        payload."""
+        seconds = time.perf_counter() - started
+        tree = self.tracer.finish(span)
+        self.slowlog.record(seconds=seconds, trace=tree, **entry, **meta)
+        if debug:
+            payload["debug"] = {
+                "request_id": entry["request_id"],
+                "trace": tree,
+                **meta,
+                "counters": self.metrics.snapshot()["work"],
+            }
+        return payload
+
+    def _observe_failure(self, span, request_id: str, endpoint: str,
+                         kind: str, node: int, alpha: float | None,
+                         epsilon: float | None, started: float,
+                         error: BaseException, *,
+                         tenant: str | None = None) -> None:
+        """Record a failed request: error-annotated trace + slow log
+        (errors bypass the latency threshold)."""
+        text = f"{type(error).__name__}: {error}"
+        if not isinstance(error, SchedulerFull):
+            # rejections were already counted (once) on the submit
+            # path; everything else is an availability-SLO failure
+            self.metrics.record_failure(tenant=tenant)
+        span.finish(error=text)
+        self._finish(
+            None, span, started, {}, request_id=request_id,
+            endpoint=endpoint, kind=kind, node=node,
+            alpha=self.config.alpha if alpha is None else float(alpha),
+            epsilon=(self.config.epsilon if epsilon is None
+                     else float(epsilon)),
+            error=text)
+
+    # -- raw query paths (benchmarks / tests) --------------------------
     def query_result(self, kind: str, node: int, *,
                      alpha: float | None = None,
                      epsilon: float | None = None,
@@ -196,211 +349,37 @@ class PPRService:
         bit-identical to ``solver.query(node)`` on the corresponding
         batch solver.
         """
-        result, hit, _ = self._query_traced(kind, node, alpha=alpha,
-                                            epsilon=epsilon,
-                                            use_cache=use_cache,
-                                            span=NULL_SPAN)
-        return result, hit
+        return self._answer(kind, partial(_admit_node, kind, node),
+                            alpha=alpha, epsilon=epsilon,
+                            use_cache=use_cache, span=NULL_SPAN)[1:3]
 
-    def _query_traced(self, kind: str, node: int, *,
-                      alpha: float | None, epsilon: float | None,
-                      use_cache: bool, span,
-                      tenant: str | None = None
-                      ) -> tuple[PPRResult, bool, dict]:
-        """The instrumented query core behind every endpoint.
-
-        ``span`` is the request's root span (:data:`NULL_SPAN` when
-        unsampled — every operation on it is then a free no-op, so
-        this is also the uninstrumented fast path).  Returns
-        ``(result, was_cache_hit, meta)`` where ``meta`` carries how
-        the request was served (batch size / disposition) for the slow
-        log and debug responses.
-        """
-        if kind not in ("source", "target"):
-            raise ConfigError(f"kind must be 'source' or 'target', "
-                              f"got {kind!r}")
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
-        started = time.perf_counter()
-        with span.child("admission"):
-            graph = self.index_manager.graph(self.config.graph)
-            if not 0 <= int(node) < graph.num_nodes:
-                # validate before admission so one bad node can never
-                # fail the whole micro-batch it would have joined
-                raise ConfigError(f"{kind} node {node} out of range "
-                                  f"[0, {graph.num_nodes})")
-            key = cache_key(self.config.graph, "batch", kind, int(node),
-                            alpha)
-        self.metrics.record_stage("admission",
-                                  time.perf_counter() - started)
-        request = QueryRequest(graph=self.config.graph, kind=kind,
-                               node=int(node), alpha=alpha,
-                               epsilon=epsilon, tenant=tenant)
-        return self._serve_request(
-            request, key, span, use_cache, started, metric_kind=kind,
-            cache_get=lambda k: self.cache.get(k, epsilon),
-            cache_put=lambda k, result: self.cache.put(k, epsilon,
-                                                       result))
-
-    def _serve_request(self, request: QueryRequest, key, span,
-                       use_cache: bool, started: float, *,
-                       metric_kind: str, cache_get, cache_put):
-        """Cache-lookup → scheduler-submit → cache-put core shared by
-        every query kind; the kind-specific cache policy (ε-dominance
-        vs. top-k prefix-dominance) comes in as the two closures."""
-        if use_cache:
-            lookup_started = time.perf_counter()
-            with span.child("cache_lookup"):
-                cached = cache_get(key)
-            self.metrics.record_stage(
-                "cache_lookup", time.perf_counter() - lookup_started)
-            if cached is not None:
-                span.annotate(cached=True)
-                self.metrics.record_request(metric_kind,
-                                            time.perf_counter() - started,
-                                            tenant=request.tenant)
-                return cached, True, {"batch_size": None,
-                                      "disposition": "cache"}
-        try:
-            pending = self.scheduler.submit_nowait(request, span)
-            result = pending.resolve(30.0)
-        except SchedulerFull:
-            self.metrics.record_rejection(tenant=request.tenant)
-            raise
-        if use_cache:
-            cache_put(key, result)
-        self.metrics.record_request(metric_kind,
-                                    time.perf_counter() - started,
-                                    tenant=request.tenant,
-                                    work=result.work.as_dict())
-        return result, False, {"batch_size": pending.batch_size,
-                               "disposition": pending.disposition}
-
-    def _topk_traced(self, node: int, k: int, *, alpha: float | None,
-                     epsilon: float | None, use_cache: bool, span,
-                     tenant: str | None = None):
-        """Instrumented top-k core: prefix-dominance cache + scheduler."""
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
-        node, k = int(node), int(k)
-        started = time.perf_counter()
-        with span.child("admission"):
-            graph = self.index_manager.graph(self.config.graph)
-            if not 0 <= node < graph.num_nodes:
-                raise ConfigError(f"source node {node} out of range "
-                                  f"[0, {graph.num_nodes})")
-            if not 1 <= k < graph.num_nodes:
-                raise ConfigError(f"k must lie in [1, {graph.num_nodes})")
-            if k > self.config.topk_max_k:
-                raise ConfigError(
-                    f"k={k} exceeds the admission limit "
-                    f"topk_max_k={self.config.topk_max_k}")
-            key = cache_key(self.config.graph, "batch", "topk", node,
-                            alpha)
-        self.metrics.record_stage("admission",
-                                  time.perf_counter() - started)
-        request = QueryRequest(graph=self.config.graph, kind="topk",
-                               node=node, alpha=alpha, epsilon=epsilon,
-                               k=k, tenant=tenant)
-        return self._serve_request(
-            request, key, span, use_cache, started, metric_kind="topk",
-            cache_get=lambda ck: self.cache.get_topk(ck, epsilon, k),
-            cache_put=lambda ck, result: self.cache.put_topk(
-                ck, epsilon, result.k, result))
-
-    def _multiseed_traced(self, seeds, weights, *, alpha: float | None,
-                          epsilon: float | None, use_cache: bool, span,
-                          tenant: str | None = None):
-        """Instrumented multiseed core: canonical seed set + ε cache."""
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
-        started = time.perf_counter()
-        with span.child("admission"):
-            graph = self.index_manager.graph(self.config.graph)
-            seeds, weights = normalize_seed_set(seeds, weights,
-                                                graph.num_nodes)
-            if len(seeds) > self.config.multiseed_max_seeds:
-                raise ConfigError(
-                    f"{len(seeds)} seeds exceed the admission limit "
-                    f"multiseed_max_seeds="
-                    f"{self.config.multiseed_max_seeds}")
-            key = cache_key(self.config.graph, "batch", "multiseed",
-                            (seeds, weights), alpha)
-        self.metrics.record_stage("admission",
-                                  time.perf_counter() - started)
-        request = QueryRequest(graph=self.config.graph, kind="multiseed",
-                               node=seeds[0], alpha=alpha,
-                               epsilon=epsilon, seeds=seeds,
-                               weights=weights, tenant=tenant)
-        result, hit, meta = self._serve_request(
-            request, key, span, use_cache, started,
-            metric_kind="multiseed",
-            cache_get=lambda ck: self.cache.get(ck, epsilon),
-            cache_put=lambda ck, res: self.cache.put(ck, epsilon, res))
-        return result, hit, meta, seeds, weights
-
-    def _pair_traced(self, source: int, target: int, *,
-                     alpha: float | None, epsilon: float | None,
-                     use_cache: bool, span, tenant: str | None = None):
-        """Instrumented pair core: its own batch group + ε cache keyed
-        on the ``(source, target)`` tuple."""
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
-        source, target = int(source), int(target)
-        started = time.perf_counter()
-        with span.child("admission"):
-            graph = self.index_manager.graph(self.config.graph)
-            if not 0 <= source < graph.num_nodes:
-                raise ConfigError(f"source {source} out of range "
-                                  f"[0, {graph.num_nodes})")
-            if not 0 <= target < graph.num_nodes:
-                raise ConfigError(f"target {target} out of range "
-                                  f"[0, {graph.num_nodes})")
-            key = cache_key(self.config.graph, "batch", "pair",
-                            (source, target), alpha)
-        self.metrics.record_stage("admission",
-                                  time.perf_counter() - started)
-        request = QueryRequest(graph=self.config.graph, kind="pair",
-                               node=target, alpha=alpha, epsilon=epsilon,
-                               source=source, tenant=tenant)
-        return self._serve_request(
-            request, key, span, use_cache, started, metric_kind="pair",
-            cache_get=lambda ck: self.cache.get(ck, epsilon),
-            cache_put=lambda ck, result: self.cache.put(ck, epsilon,
-                                                        result))
-
-    # -- raw query paths (benchmarks / tests) --------------------------
     def topk_result(self, node: int, k: int, *,
                     alpha: float | None = None,
                     epsilon: float | None = None,
                     use_cache: bool = True):
         """One top-k query; returns ``(TopKQueryResult, was_cache_hit)``."""
-        result, hit, _ = self._topk_traced(node, k, alpha=alpha,
-                                           epsilon=epsilon,
-                                           use_cache=use_cache,
-                                           span=NULL_SPAN)
-        return result, hit
+        return self._answer("topk", partial(_admit_topk, node, k),
+                            alpha=alpha, epsilon=epsilon,
+                            use_cache=use_cache, span=NULL_SPAN)[1:3]
 
     def multiseed_result(self, seeds, weights=None, *,
                          alpha: float | None = None,
                          epsilon: float | None = None,
                          use_cache: bool = True):
         """One seed-set query; returns ``(PPRResult, was_cache_hit)``."""
-        result, hit, _, _, _ = self._multiseed_traced(
-            seeds, weights, alpha=alpha, epsilon=epsilon,
-            use_cache=use_cache, span=NULL_SPAN)
-        return result, hit
+        return self._answer("multiseed",
+                            partial(_admit_multiseed, seeds, weights),
+                            alpha=alpha, epsilon=epsilon,
+                            use_cache=use_cache, span=NULL_SPAN)[1:3]
 
     def pair_result(self, source: int, target: int, *,
                     alpha: float | None = None,
                     epsilon: float | None = None,
                     use_cache: bool = True):
         """One pair query; returns ``(PairResult, was_cache_hit)``."""
-        result, hit, _ = self._pair_traced(source, target, alpha=alpha,
-                                           epsilon=epsilon,
-                                           use_cache=use_cache,
-                                           span=NULL_SPAN)
-        return result, hit
+        return self._answer("pair", partial(_admit_pair, source, target),
+                            alpha=alpha, epsilon=epsilon,
+                            use_cache=use_cache, span=NULL_SPAN)[1:3]
 
     # -- JSON-shaped endpoints -----------------------------------------
     def query(self, kind: str, node: int, *, alpha: float | None = None,
@@ -415,56 +394,14 @@ class PPRService:
         ``debug=True`` forces a trace and adds a ``debug`` block (span
         tree + work counters) to the response.  Without ``debug``, the
         payload is byte-identical whether or not the request was
-        sampled.
+        sampled.  The other query endpoints take the same keywords.
         """
-        request_id = request_id or new_request_id()
-        span = self.tracer.trace("query", request_id, force=debug)
-        span.annotate(endpoint="query", kind=kind, node=int(node))
-        if tenant:
-            span.annotate(tenant=tenant)
-        started = time.perf_counter()
-        try:
-            result, hit, meta = self._query_traced(
-                kind, node, alpha=alpha, epsilon=epsilon,
-                use_cache=use_cache, span=span, tenant=tenant)
-        except BaseException as error:
-            self._observe_failure(span, request_id, "query", kind, node,
-                                  alpha, epsilon, started, error,
-                                  tenant=tenant)
-            raise
-        with span.child("serialize"):
-            serialize_started = time.perf_counter()
-            payload = {
-                "kind": kind,
-                "node": int(node),
-                "alpha": result.alpha,
-                "epsilon": result.epsilon,
-                "method": result.method,
-                "total_mass": result.total_mass,
-                "top": [[node_id, score] for node_id, score
-                        in result.top_k(top)],
-                "cached": hit,
-                "work": result.work.as_dict(),
-            }
-            self.metrics.record_stage(
-                "serialize", time.perf_counter() - serialize_started)
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="query", kind=kind,
-            node=int(node), alpha=result.alpha, epsilon=result.epsilon,
-            seconds=seconds, cached=hit, batch_size=meta["batch_size"],
-            disposition=meta["disposition"],
-            work=result.work.as_dict(), trace=tree)
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "batch_size": meta["batch_size"],
-                "disposition": meta["disposition"],
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
+        return self._endpoint(
+            "query", kind, node, partial(_admit_node, kind, node),
+            partial(_vector_payload, top=top),
+            {"kind": kind, "node": int(node)}, alpha=alpha,
+            epsilon=epsilon, use_cache=use_cache, request_id=request_id,
+            tenant=tenant, debug=debug)
 
     def query_topk(self, node: int, k: int, *,
                    alpha: float | None = None,
@@ -480,55 +417,11 @@ class PPRService:
         rule froze the ranking.  Cache hits follow prefix-dominance: a
         stored deeper ranking serves any shallower ``k``.
         """
-        request_id = request_id or new_request_id()
-        span = self.tracer.trace("topk", request_id, force=debug)
-        span.annotate(endpoint="topk", node=int(node), k=int(k))
-        if tenant:
-            span.annotate(tenant=tenant)
-        started = time.perf_counter()
-        try:
-            result, hit, meta = self._topk_traced(
-                node, k, alpha=alpha, epsilon=epsilon,
-                use_cache=use_cache, span=span, tenant=tenant)
-        except BaseException as error:
-            self._observe_failure(span, request_id, "topk", "topk", node,
-                                  alpha, epsilon, started, error,
-                                  tenant=tenant)
-            raise
-        with span.child("serialize"):
-            serialize_started = time.perf_counter()
-            payload = {
-                "kind": "topk",
-                "node": int(node),
-                "k": int(k),
-                "alpha": result.alpha,
-                "epsilon": result.epsilon,
-                "converged": bool(result.converged),
-                "num_forests": int(result.num_forests),
-                "top": [[node_id, score] for node_id, score
-                        in result.as_pairs()],
-                "cached": hit,
-                "work": result.work.as_dict(),
-            }
-            self.metrics.record_stage(
-                "serialize", time.perf_counter() - serialize_started)
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="topk", kind="topk",
-            node=int(node), alpha=result.alpha, epsilon=result.epsilon,
-            seconds=seconds, cached=hit, batch_size=meta["batch_size"],
-            disposition=meta["disposition"],
-            work=result.work.as_dict(), trace=tree)
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "batch_size": meta["batch_size"],
-                "disposition": meta["disposition"],
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
+        return self._endpoint(
+            "topk", "topk", node, partial(_admit_topk, node, k),
+            _topk_payload, {"node": int(node), "k": int(k)}, alpha=alpha,
+            epsilon=epsilon, use_cache=use_cache, request_id=request_id,
+            tenant=tenant, debug=debug)
 
     def query_multiseed(self, seeds, weights=None, *,
                         alpha: float | None = None,
@@ -544,59 +437,14 @@ class PPRService:
         bit-identical to the weighted sum of the single-seed rows (see
         :class:`~repro.core.batch.BatchMultiSeedSolver`).
         """
-        request_id = request_id or new_request_id()
-        span = self.tracer.trace("multiseed", request_id, force=debug)
-        span.annotate(endpoint="multiseed", seeds=len(tuple(seeds)))
-        if tenant:
-            span.annotate(tenant=tenant)
-        started = time.perf_counter()
-        try:
-            result, hit, meta, canonical_seeds, canonical_weights = \
-                self._multiseed_traced(seeds, weights, alpha=alpha,
-                                       epsilon=epsilon,
-                                       use_cache=use_cache, span=span,
-                                       tenant=tenant)
-        except BaseException as error:
-            self._observe_failure(span, request_id, "multiseed",
-                                  "multiseed", -1, alpha, epsilon,
-                                  started, error, tenant=tenant)
-            raise
-        with span.child("serialize"):
-            serialize_started = time.perf_counter()
-            payload = {
-                "kind": "multiseed",
-                "seeds": [int(seed) for seed in canonical_seeds],
-                "weights": [float(weight)
-                            for weight in canonical_weights],
-                "alpha": result.alpha,
-                "epsilon": result.epsilon,
-                "method": result.method,
-                "total_mass": result.total_mass,
-                "top": [[node_id, score] for node_id, score
-                        in result.top_k(top)],
-                "cached": hit,
-                "work": result.work.as_dict(),
-            }
-            self.metrics.record_stage(
-                "serialize", time.perf_counter() - serialize_started)
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="multiseed",
-            kind="multiseed", node=int(canonical_seeds[0]),
-            alpha=result.alpha, epsilon=result.epsilon, seconds=seconds,
-            cached=hit, batch_size=meta["batch_size"],
-            disposition=meta["disposition"],
-            work=result.work.as_dict(), trace=tree)
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "batch_size": meta["batch_size"],
-                "disposition": meta["disposition"],
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
+        seeds = tuple(seeds)
+        return self._endpoint(
+            "multiseed", "multiseed", -1,
+            partial(_admit_multiseed, seeds, weights),
+            partial(_vector_payload, top=top),
+            {"seeds": len(seeds)}, alpha=alpha, epsilon=epsilon,
+            use_cache=use_cache, request_id=request_id, tenant=tenant,
+            debug=debug)
 
     def pair(self, source: int, target: int, *,
              alpha: float | None = None, epsilon: float | None = None,
@@ -612,53 +460,11 @@ class PPRService:
         batch with other pairs and cache under their own
         ``(source, target)`` key.
         """
-        request_id = request_id or new_request_id()
-        span = self.tracer.trace("pair", request_id, force=debug)
-        span.annotate(endpoint="pair", source=int(source),
-                      target=int(target))
-        if tenant:
-            span.annotate(tenant=tenant)
-        started = time.perf_counter()
-        try:
-            result, hit, meta = self._pair_traced(
-                source, target, alpha=alpha, epsilon=epsilon,
-                use_cache=use_cache, span=span, tenant=tenant)
-        except BaseException as error:
-            self._observe_failure(span, request_id, "pair", "pair",
-                                  target, alpha, epsilon, started, error,
-                                  tenant=tenant)
-            raise
-        with span.child("serialize"):
-            serialize_started = time.perf_counter()
-            payload = {
-                "source": int(source),
-                "target": int(target),
-                "alpha": result.alpha,
-                "epsilon": result.epsilon,
-                "value": float(result),
-                "method": result.method,
-                "cached": hit,
-            }
-            self.metrics.record_stage(
-                "serialize", time.perf_counter() - serialize_started)
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="pair", kind="pair",
-            node=int(target), alpha=result.alpha,
-            epsilon=result.epsilon, seconds=seconds, cached=hit,
-            batch_size=meta["batch_size"],
-            disposition=meta["disposition"],
-            work=result.work.as_dict(), trace=tree)
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "batch_size": meta["batch_size"],
-                "disposition": meta["disposition"],
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
+        return self._endpoint(
+            "pair", "pair", target, partial(_admit_pair, source, target),
+            _pair_payload, {"source": int(source), "target": int(target)},
+            alpha=alpha, epsilon=epsilon, use_cache=use_cache,
+            request_id=request_id, tenant=tenant, debug=debug)
 
     # -- graph mutation ------------------------------------------------
     def mutate(self, ops, *, request_id: str | None = None,
@@ -698,47 +504,13 @@ class PPRService:
                                   -1, None, None, started, error)
             raise
         self.metrics.record_mutation(summary["work"])
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="mutate", kind="mutate",
-            node=-1, alpha=self.config.alpha,
-            epsilon=self.config.epsilon, seconds=seconds,
-            work=summary["work"], trace=tree)
         payload = dict(summary)
         payload["request_id"] = request_id
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
-
-    def _observe_failure(self, span, request_id: str, endpoint: str,
-                         kind: str, node: int, alpha: float | None,
-                         epsilon: float | None, started: float,
-                         error: BaseException, *,
-                         tenant: str | None = None) -> None:
-        """Record a failed request: error-annotated trace + slow log
-        (errors bypass the latency threshold)."""
-        seconds = time.perf_counter() - started
-        text = f"{type(error).__name__}: {error}"
-        if not isinstance(error, SchedulerFull):
-            # rejections were already counted (once) on the submit
-            # path; everything else is an availability-SLO failure
-            self.metrics.record_failure(tenant=tenant)
-        tree = None
-        if span.enabled:
-            span.finish(error=text)
-            tree = self.tracer.finish(span)
-        self.slowlog.record(
-            request_id=request_id, endpoint=endpoint, kind=kind,
-            node=int(node),
-            alpha=self.config.alpha if alpha is None else float(alpha),
-            epsilon=(self.config.epsilon if epsilon is None
-                     else float(epsilon)),
-            seconds=seconds, error=text, trace=tree)
+        return self._finish(
+            payload, span, started, {}, debug=debug, request_id=request_id,
+            endpoint="mutate", kind="mutate", node=-1,
+            alpha=self.config.alpha, epsilon=self.config.epsilon,
+            work=summary["work"])
 
     # -- observability -------------------------------------------------
     def healthz(self) -> dict:
@@ -817,3 +589,103 @@ class PPRService:
     def metrics_text(self) -> str:
         """Prometheus exposition for ``/metrics``."""
         return self.metrics.render()
+
+
+# -- what each query kind supplies to the pipeline ----------------------
+# admit(num_nodes, config) -> QueryRequest fields;
+# build(request, result, hit) -> payload.
+def _admit_node(kind, node, num_nodes: int, config: ServiceConfig):
+    """``/query``: one source or target node."""
+    if kind not in ("source", "target"):
+        raise ConfigError(f"kind must be 'source' or 'target', "
+                          f"got {kind!r}")
+    if not 0 <= int(node) < num_nodes:
+        raise ConfigError(f"{kind} node {node} out of range "
+                          f"[0, {num_nodes})")
+    return {"node": int(node)}
+
+
+def _admit_topk(node, k, num_nodes: int, config: ServiceConfig):
+    """``/topk``: a source and a ranking depth within the limit."""
+    node, k = int(node), int(k)
+    if not 0 <= node < num_nodes:
+        raise ConfigError(f"source node {node} out of range "
+                          f"[0, {num_nodes})")
+    if not 1 <= k < num_nodes:
+        raise ConfigError(f"k must lie in [1, {num_nodes})")
+    if k > config.topk_max_k:
+        raise ConfigError(f"k={k} exceeds the admission limit "
+                          f"topk_max_k={config.topk_max_k}")
+    return {"node": node, "k": k}
+
+
+def _admit_multiseed(seeds, weights, num_nodes: int,
+                     config: ServiceConfig):
+    """``/multiseed``: the canonical seed set (see
+    :func:`~repro.core.batch.normalize_seed_set`)."""
+    seeds, weights = normalize_seed_set(seeds, weights, num_nodes)
+    if len(seeds) > config.multiseed_max_seeds:
+        raise ConfigError(f"{len(seeds)} seeds exceed the admission "
+                          f"limit multiseed_max_seeds="
+                          f"{config.multiseed_max_seeds}")
+    return {"node": seeds[0], "seeds": seeds, "weights": weights}
+
+
+def _admit_pair(source, target, num_nodes: int, config: ServiceConfig):
+    """``/pair``: the target anchors the batch, the source is read."""
+    source, target = int(source), int(target)
+    if not 0 <= source < num_nodes:
+        raise ConfigError(f"source {source} out of range "
+                          f"[0, {num_nodes})")
+    if not 0 <= target < num_nodes:
+        raise ConfigError(f"target {target} out of range "
+                          f"[0, {num_nodes})")
+    return {"node": target, "source": source}
+
+
+def _vector_payload(request: QueryRequest, result, hit: bool, *,
+                    top: int) -> dict:
+    """``/query`` and ``/multiseed``: the head of one PPR vector."""
+    if request.kind == "multiseed":
+        anchor = {"seeds": [int(seed) for seed in request.seeds],
+                  "weights": [float(weight) for weight in request.weights]}
+    else:
+        anchor = {"node": request.node}
+    return {
+        "kind": request.kind,
+        **anchor,
+        "alpha": result.alpha,
+        "epsilon": result.epsilon,
+        "method": result.method,
+        "total_mass": result.total_mass,
+        "top": [[node_id, score] for node_id, score in result.top_k(top)],
+        "cached": hit,
+        "work": result.work.as_dict(),
+    }
+
+
+def _topk_payload(request: QueryRequest, result, hit: bool) -> dict:
+    return {
+        "kind": "topk",
+        "node": request.node,
+        "k": request.k,
+        "alpha": result.alpha,
+        "epsilon": result.epsilon,
+        "converged": bool(result.converged),
+        "num_forests": int(result.num_forests),
+        "top": [[node_id, score] for node_id, score in result.as_pairs()],
+        "cached": hit,
+        "work": result.work.as_dict(),
+    }
+
+
+def _pair_payload(request: QueryRequest, result, hit: bool) -> dict:
+    return {
+        "source": request.source,
+        "target": request.node,
+        "alpha": result.alpha,
+        "epsilon": result.epsilon,
+        "value": float(result),
+        "method": result.method,
+        "cached": hit,
+    }

@@ -489,12 +489,6 @@ class ShardRouter:
         """The straggler detector's window + per-shard flag counts."""
         return self.straggler_detector.stats()
 
-    def _robust_scale(self, samples) -> tuple[float, float]:
-        """``(median, MAD-based sigma floored at min_sigma)``."""
-        median = statistics.median(samples)
-        mad = statistics.median(abs(value - median) for value in samples)
-        return median, max(MAD_TO_SIGMA * mad, self.min_sigma)
-
     def stats(self) -> dict:
         """Executor-shaped snapshot plus a per-shard breakdown."""
         per_shard = [executor.stats() for executor in self.executors]

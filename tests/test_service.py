@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import re
+import socket
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,6 +614,43 @@ class TestScheduler:
         assert multi.payload_item == ((5, 7), (0.25, 0.75))
         assert plain.payload_item == 5
 
+    def test_failed_batch_counts_once_whichever_stage_failed(
+            self, graph, monkeypatch):
+        """A flushed batch that fails is counted once — in
+        ``batches_executed`` and the batch metrics — whether the solver
+        lookup or the fold raised, and every waiter gets the error."""
+        metrics = ServiceMetrics()
+        scheduler = self._scheduler(graph, max_wait_ms=1.0,
+                                    metrics=metrics)
+        solver = scheduler.index_manager.get_solver(
+            "test", "source", alpha=ALPHA, epsilon=EPSILON)
+
+        def broken_fold(items):
+            raise RuntimeError("fold failed")
+
+        monkeypatch.setattr(solver, "run_items", broken_fold)
+        scheduler.start()
+        try:
+            lookup = scheduler.submit_nowait(QueryRequest(
+                graph="nope", kind="source", node=0, alpha=ALPHA,
+                epsilon=EPSILON))
+            with pytest.raises(ConfigError, match="unknown graph"):
+                lookup.resolve(timeout=30.0)
+            assert lookup.disposition == "error"
+            assert scheduler.batches_executed == 1
+            fold = scheduler.submit_nowait(QueryRequest(
+                graph="test", kind="source", node=0, alpha=ALPHA,
+                epsilon=EPSILON))
+            with pytest.raises(RuntimeError, match="fold failed"):
+                fold.resolve(timeout=30.0)
+            assert fold.disposition == "error"
+            assert scheduler.batches_executed == 2
+        finally:
+            scheduler.stop()
+        snapshot = metrics.snapshot()
+        assert snapshot["batches"] == 2
+        assert snapshot["errors"] == 2
+
     def test_batched_results_match_direct_solver(self, graph):
         scheduler = self._scheduler(graph, max_batch=4, max_wait_ms=2.0)
         scheduler.start()
@@ -756,6 +797,12 @@ class TestQuerySurface:
         assert multi["weights"] == [0.5, 0.5]
         assert len(multi["top"]) == 5
         assert multi["total_mass"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_multiseed_accepts_any_iterable_of_seeds(self, service):
+        from_list = service.query_multiseed([4, 9], top=5)
+        from_iterator = service.query_multiseed(iter([4, 9]), top=5)
+        assert from_iterator["seeds"] == [4, 9]
+        assert from_iterator["top"] == from_list["top"]
 
     def test_admission_guards(self, service):
         with pytest.raises(ConfigError, match="topk_max_k"):
@@ -1009,3 +1056,187 @@ class TestSLOIntegration:
             transitions = [entry["state"] for entry
                            in cleared["latency"]["transitions"]]
             assert transitions[-2:] == ["firing", "ok"]
+
+
+class TestKeepAliveDesync:
+    """A POST answered before its body is read must close the
+    connection: the unread body would otherwise be parsed as the next
+    request line on the same keep-alive socket."""
+
+    @pytest.fixture(scope="class")
+    def address(self, service):
+        server = make_server(service, port=0)
+        serve_forever(server, in_thread=True)
+        yield "127.0.0.1", server.server_port
+        server.shutdown()
+        server.server_close()
+
+    @staticmethod
+    def _read_response(sock) -> tuple[int, dict, bytes]:
+        """Read one HTTP/1.1 response (status, headers, body)."""
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            assert chunk, f"connection closed mid-headers: {data!r}"
+            data += chunk
+        head, body = data.split(b"\r\n\r\n", 1)
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in header_lines:
+            name, value = line.split(":", 1)
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        while len(body) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed mid-body"
+            body += chunk
+        return int(status_line.split()[1]), headers, body[:length]
+
+    @staticmethod
+    def _rest_of_stream(sock) -> bytes:
+        """Everything the server sends until it closes (a reset after
+        the close counts as closed)."""
+        received = b""
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return received
+                received += chunk
+        except ConnectionResetError:
+            return received
+
+    @staticmethod
+    def _request(path: str, body: bytes, request_id: str,
+                 length: int | None = None) -> bytes:
+        return (f"POST {path} HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Type: application/json\r\n"
+                f"X-Request-Id: {request_id}\r\n"
+                f"Content-Length: "
+                f"{len(body) if length is None else length}\r\n\r\n"
+                ).encode() + body
+
+    def test_unknown_path_closes_instead_of_desyncing(self, address):
+        body = json.dumps({"kind": "source", "node": 1}).encode()
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(self._request("/bogus", body, "ka-404"))
+            status, headers, _ = self._read_response(sock)
+            assert status == 404
+            assert headers["x-request-id"] == "ka-404"
+            assert headers.get("connection") == "close"
+            try:
+                sock.sendall(self._request("/query", body, "ka-next"))
+            except (BrokenPipeError, ConnectionResetError):
+                return
+            # never an HTML 400 built from the unread body
+            assert self._rest_of_stream(sock) == b""
+
+    def test_oversize_body_gets_json_400_then_close(self, address):
+        from repro.service.http import _MAX_BODY_BYTES
+
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(self._request("/query", b"{", "ka-big",
+                                       length=_MAX_BODY_BYTES + 1))
+            status, headers, payload = self._read_response(sock)
+            assert status == 400
+            assert headers["content-type"] == "application/json"
+            assert headers["x-request-id"] == "ka-big"
+            assert headers.get("connection") == "close"
+            assert "body length" in json.loads(payload)["error"]
+            assert self._rest_of_stream(sock) == b""
+
+    def test_consumed_body_keeps_the_connection_open(self, address):
+        connection = http.client.HTTPConnection(*address, timeout=30)
+        try:
+            for node in (1, 2):
+                connection.request(
+                    "POST", "/query",
+                    body=json.dumps({"kind": "source", "node": node}),
+                    headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                assert response.getheader("Connection") is None
+                assert json.loads(response.read())["node"] == node
+        finally:
+            connection.close()
+
+
+class TestRequestPathGolden:
+    """Byte golden of every POST route: HTTP status, body bytes and
+    the slow-log entry of each request (``seconds``, ``ts`` and
+    ``trace`` stripped).  Regenerate with ``REPRO_UPDATE_GOLDEN=1``
+    only after an intended change to a payload or a log field."""
+
+    GOLDEN = Path(__file__).parent / "golden" / "service_payloads.jsonl"
+
+    CASES = (
+        ("query_source", "/query", {"kind": "source", "node": 3}),
+        ("query_target", "/query", {"kind": "target", "node": 5,
+                                    "top": 4}),
+        ("topk", "/topk", {"node": 2, "k": 5}),
+        ("multiseed", "/multiseed", {"seeds": [6, 1],
+                                     "weights": [3.0, 1.0], "top": 4}),
+        ("pair", "/pair", {"source": 1, "target": 9}),
+        ("query_source_cached", "/query", {"kind": "source", "node": 3}),
+        ("topk_cached_prefix", "/topk", {"node": 2, "k": 3}),
+        ("query_out_of_range", "/query", {"kind": "source", "node": 40}),
+        ("topk_out_of_range", "/topk", {"node": 40, "k": 3}),
+        ("multiseed_out_of_range", "/multiseed", {"seeds": [1, 40]}),
+        ("pair_out_of_range", "/pair", {"source": 1, "target": 40}),
+        ("unknown_path", "/nope", {"node": 1}),
+    )
+
+    def _record(self) -> list[dict]:
+        config = ServiceConfig(graph="golden", alpha=0.2, seed=7,
+                               budget_scale=0.05, max_wait_ms=1.0,
+                               slowlog_threshold_ms=0, port=0)
+        service = PPRService(config, graph=erdos_renyi(40, 0.2, rng=7))
+        server = make_server(service.start(), port=0)
+        serve_forever(server, in_thread=True)
+        records = []
+        try:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server_port, timeout=30)
+            for name, path, body in self.CASES:
+                connection.request(
+                    "POST", path, body=json.dumps(body),
+                    headers={"Content-Type": "application/json",
+                             "X-Request-Id": f"golden-{name}"})
+                response = connection.getresponse()
+                payload = response.read()
+                if response.will_close:
+                    connection.close()
+                assert response.getheader("X-Request-Id") \
+                    == f"golden-{name}"
+                records.append({"case": name, "status": response.status,
+                                "body": payload.decode()})
+            connection.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.stop()
+        logged = {entry["request_id"]: entry
+                  for entry in service.slowlog.recent()}
+        for record in records:
+            entry = logged.pop(f"golden-{record['case']}", None)
+            record["slowlog"] = (None if entry is None else
+                                 {key: value for key, value
+                                  in sorted(entry.items())
+                                  if key not in ("seconds", "ts",
+                                                 "trace")})
+        assert not logged, f"unexpected slow-log entries: {list(logged)}"
+        return records
+
+    def test_payloads_match_golden(self):
+        lines = [json.dumps(record, sort_keys=True) + "\n"
+                 for record in self._record()]
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            self.GOLDEN.write_text("".join(lines))
+            return
+        assert self.GOLDEN.exists(), (
+            f"missing golden file {self.GOLDEN}; regenerate with "
+            f"REPRO_UPDATE_GOLDEN=1")
+        expected = self.GOLDEN.read_text().splitlines(keepends=True)
+        assert len(lines) == len(expected)
+        for line, golden in zip(lines, expected):
+            assert line == golden
