@@ -44,6 +44,7 @@ All stochastic commands accept ``--seed`` and are fully reproducible.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 import numpy as np
@@ -612,6 +613,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{entry['build_seconds']:.2f}s")
     print(f"serving on http://{server.server_address[0]}:"
           f"{server.server_port}", flush=True)
+    # a shell without job control starts `repro serve &` with SIGINT
+    # ignored, and Python then never raises KeyboardInterrupt
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         serve_forever(server)
     except KeyboardInterrupt:

@@ -36,8 +36,10 @@ class ServiceConfig:
         ``"thread"`` folds batches in-process on the scheduler
         threads; ``"process"`` dispatches them to a pool of
         ``workers`` forked worker processes attached to the
-        shared-memory bank (see :mod:`repro.service.executor`).
-        Answers are byte-identical either way.
+        shared-memory bank — the one-shard
+        :class:`~repro.shard.router.ShardRouter` (see
+        :mod:`repro.service.executor`).  Answers are byte-identical
+        either way.
     dynamic:
         Build repairable
         :class:`~repro.montecarlo.dynamic_index.DynamicForestIndex`

@@ -504,44 +504,30 @@ class ProcessExecutor:
             stats.update(state.extra)
         return state.results
 
-    def warm(self, graph: str | None = None, alpha: float | None = None,
-             timeout: float = 30.0, *, banks=None) -> int:
-        """Per-worker warm attach of the current bank(s).
+    def warm(self, graph: str, alpha: float | None = None,
+             timeout: float = 30.0) -> int:
+        """Per-worker warm attach of the ``(graph, alpha)`` bank.
 
         Dispatches one zero-node task *pinned to each worker* so every
         worker binds the graph + index segments before real traffic
-        arrives.  By default all workers warm ``(graph, alpha)``;
-        ``banks=`` overrides that with one entry per worker — a
-        ``(graph, alpha)`` pair (``alpha=None`` for the config
-        default) or ``None`` to leave that worker cold — so a pool
-        whose workers serve different banks warms each against only
-        its own (a sharded pool's view is already pinned to
-        ``self.shard``, so its warm attaches that shard's restricted
-        bank and nothing else).  Returns how many workers completed
-        the warm-up within ``timeout``: each pinned call carries the
-        warm deadline as its own task timeout (not the pool-wide
-        ``task_timeout``), so no warm thread outlives the deadline by
-        more than a beat and the returned count is a settled total,
-        not a snapshot a straggler could bump later.
+        arrives (a sharded pool's view is pinned to ``self.shard``, so
+        its warm attaches that shard's restricted bank and nothing
+        else).  Returns how many workers completed the warm-up within
+        ``timeout``: each pinned call carries the warm deadline as its
+        own task timeout (not the pool-wide ``task_timeout``), so no
+        warm thread outlives the deadline by more than a beat and the
+        returned count is a settled total, not a snapshot a straggler
+        could bump later.
         """
-        if banks is None:
-            if graph is None:
-                raise ReproError("warm() needs a graph name or banks=")
-            banks = [(graph, alpha)] * self.num_workers
-        else:
-            banks = list(banks)
-            if len(banks) != self.num_workers:
-                raise ReproError(
-                    f"banks= needs one entry per worker "
-                    f"({self.num_workers}), got {len(banks)}")
+        alpha = (self.index_manager.config.alpha if alpha is None
+                 else float(alpha))
         deadline = time.monotonic() + timeout
-        threads = []
         completed_lock = threading.Lock()
         completed: list[int] = []
 
-        def one(worker_id: int, bank_graph: str, bank_alpha: float):
+        def one(worker_id: int):
             try:
-                self.run_batch(bank_graph, "source", bank_alpha,
+                self.run_batch(graph, "source", alpha,
                                self.index_manager.config.epsilon, (),
                                pin=worker_id,
                                timeout=max(deadline - time.monotonic(),
@@ -551,17 +537,11 @@ class ProcessExecutor:
             except ExecutorError:
                 pass
 
-        for worker_id, spec in enumerate(banks):
-            if spec is None:
-                continue
-            bank_graph, bank_alpha = spec
-            bank_alpha = (self.index_manager.config.alpha
-                          if bank_alpha is None else float(bank_alpha))
-            thread = threading.Thread(
-                target=one, args=(worker_id, bank_graph, bank_alpha),
-                daemon=True)
+        threads = [threading.Thread(target=one, args=(worker_id,),
+                                    daemon=True)
+                   for worker_id in range(self.num_workers)]
+        for thread in threads:
             thread.start()
-            threads.append(thread)
         for thread in threads:
             thread.join(timeout=max(deadline - time.monotonic(), 0.05)
                         + 0.5)
@@ -738,10 +718,6 @@ class ProcessExecutor:
                     self._busy[worker_id] = None
                     if lost is not None and not lost.done:
                         lost.worker = None
-                        if lost.pin is not None:
-                            # a pinned warm task for a dead worker is
-                            # moot; the fresh worker attaches lazily
-                            pass
                         self._pending.appendleft(lost)
                     self._cond.notify_all()
                 self._spawn(worker_id)

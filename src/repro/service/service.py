@@ -106,18 +106,14 @@ class PPRService:
         self.metrics = ServiceMetrics(timeseries=self.timeseries,
                                       slo=self.slo)
         self.executor = None
-        if self.config.shards > 1:
+        if self.config.executor == "process":
+            # flat process serving is the one-shard router
             from repro.shard.router import ShardRouter
 
             self.executor = ShardRouter(
                 self.index_manager,
                 workers_per_shard=self.config.workers,
                 metrics=self.metrics)
-        elif self.config.executor == "process":
-            from repro.service.executor import ProcessExecutor
-
-            self.executor = ProcessExecutor(
-                self.index_manager, workers=self.config.workers)
         self.scheduler = MicroBatchScheduler(
             self.index_manager,
             max_batch=self.config.max_batch,
@@ -210,10 +206,10 @@ class PPRService:
         carries how the request was served (batch size / disposition)
         for the slow log and debug responses.
         """
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
         started = time.perf_counter()
         with span.child("admission"):
+            alpha = _number("alpha", alpha, self.config.alpha)
+            epsilon = _number("epsilon", epsilon, self.config.epsilon)
             graph = self.index_manager.graph(self.config.graph)
             # validate before admission so one bad node can never
             # fail the whole micro-batch it would have joined
@@ -321,20 +317,26 @@ class PPRService:
                          error: BaseException, *,
                          tenant: str | None = None) -> None:
         """Record a failed request: error-annotated trace + slow log
-        (errors bypass the latency threshold)."""
+        (errors bypass the latency threshold).  An α or ε that is not
+        a number is logged as the service default; the error text
+        names the bad value."""
         text = f"{type(error).__name__}: {error}"
         if not isinstance(error, SchedulerFull):
             # rejections were already counted (once) on the submit
             # path; everything else is an availability-SLO failure
             self.metrics.record_failure(tenant=tenant)
         span.finish(error=text)
+        logged = {}
+        for field, value in (("alpha", alpha), ("epsilon", epsilon)):
+            default = getattr(self.config, field)
+            try:
+                logged[field] = _number(field, value, default)
+            except ConfigError:
+                logged[field] = default
         self._finish(
             None, span, started, {}, request_id=request_id,
-            endpoint=endpoint, kind=kind, node=node,
-            alpha=self.config.alpha if alpha is None else float(alpha),
-            epsilon=(self.config.epsilon if epsilon is None
-                     else float(epsilon)),
-            error=text)
+            endpoint=endpoint, kind=kind, node=node, error=text,
+            **logged)
 
     # -- raw query paths (benchmarks / tests) --------------------------
     def query_result(self, kind: str, node: int, *,
@@ -554,9 +556,8 @@ class PPRService:
         Everything ``repro top`` renders comes from this one JSON
         document: the 60 s / 300 s rolling windows out of the
         time-series store, the burn-rate state of both built-in SLOs,
-        and the per-tenant / per-shard attribution tables (the shard
-        table includes the straggler detector's view when the service
-        scatter-gathers across shards).
+        and the per-tenant / per-shard attribution tables, plus the
+        straggler detector's view in process-executor mode.
         """
         now = time.monotonic() if now is None else float(now)
         snap = self.metrics.snapshot()
@@ -581,14 +582,26 @@ class PPRService:
             "tenants": self.metrics.tenant_table(),
             "shards": self.metrics.shard_table(),
         }
-        if self.executor is not None \
-                and hasattr(self.executor, "straggler_stats"):
+        if self.executor is not None:
             payload["stragglers"] = self.executor.straggler_stats()
         return payload
 
     def metrics_text(self) -> str:
         """Prometheus exposition for ``/metrics``."""
         return self.metrics.render()
+
+
+def _number(field: str, value, default: float) -> float:
+    """A request's α or ε as a float (``default`` when omitted); a
+    value that is not a number is a :class:`ConfigError` naming
+    ``field``."""
+    if value is None:
+        return default
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{field} must be a number, got {value!r}") from None
 
 
 # -- what each query kind supplies to the pipeline ----------------------

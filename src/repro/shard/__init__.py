@@ -6,7 +6,8 @@
   scatter-gather protocol ships between workers and the router;
 - :mod:`repro.shard.router` — :class:`~repro.shard.router.ShardRouter`,
   the executor-shaped scatter-gather front over one
-  :class:`~repro.service.executor.ProcessExecutor` per shard.
+  :class:`~repro.service.executor.ProcessExecutor` per shard (flat
+  process serving is its one-shard case).
 
 The router is exported lazily: it imports the service executor stack,
 which itself imports the core batch solvers — and the batch solvers
@@ -24,13 +25,12 @@ from repro.shard.partition import (
 )
 
 __all__ = ["STRATEGIES", "ShardMap", "ShardSubgraph", "ShardPartial",
-           "partition_graph", "merge_subgraphs", "ShardRouter",
-           "bounded_topk_merge"]
+           "partition_graph", "merge_subgraphs", "ShardRouter"]
 
 
 def __getattr__(name: str):
-    if name in ("ShardRouter", "bounded_topk_merge"):
-        from repro.shard import router
+    if name == "ShardRouter":
+        from repro.shard.router import ShardRouter
 
-        return getattr(router, name)
+        return ShardRouter
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

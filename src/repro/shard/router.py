@@ -5,7 +5,10 @@ r"""Scatter-gather query routing across per-shard worker pools.
 ``start`` / ``shutdown`` / ``warm`` / ``stats`` / ``in_flight`` /
 ``utilization`` — over one *pool per shard*, so the micro-batch
 scheduler plugs it in as its ``executor`` without knowing anything
-about shards.  Per kind:
+about shards.  It is the only executor the service builds: flat
+process serving is the one-shard case, whose single pool attaches the
+whole-space bank and answers every batch whole.  With two or more
+shards, per kind:
 
 - **source / target / multiseed** scatter the identical batch to every
   shard.  Each shard's workers run the full deterministic push over
@@ -27,9 +30,7 @@ about shards.  Per kind:
   samples its own forest stream from the config seed and borrows no
   bank, so any pool answers it bit-identically — scattering it would
   *break* identity (per-shard partial top-k lists would come from
-  per-shard forest streams).  :func:`bounded_topk_merge` is the
-  tail-bounded merge for deployments that shard the candidate
-  generation itself.
+  per-shard forest streams).
 
 Because every shard runs the identical push for the same request, the
 merged result adopts shard 0's per-query stats verbatim — exactly the
@@ -53,7 +54,7 @@ from repro.core.result import PPRResult
 from repro.exceptions import ConfigError
 from repro.service.executor import ExecutorError, ProcessExecutor
 
-__all__ = ["ShardRouter", "StragglerDetector", "bounded_topk_merge"]
+__all__ = ["ShardRouter", "StragglerDetector"]
 
 #: Test/ops hook: ``"<shard>:<seconds>[,<shard>:<seconds>...]"`` adds
 #: synthetic fold time to the named shards *at recording time* (the
@@ -174,45 +175,16 @@ class StragglerDetector:
         }
 
 
-def bounded_topk_merge(candidates, k: int, tail_bounds=None):
-    """Merge per-shard descending ``(node, value)`` lists into a top-k.
-
-    ``candidates[i]`` holds shard ``i``'s locally-largest entries in
-    descending value order; ``tail_bounds[i]`` (optional) is an upper
-    bound on every entry shard ``i`` did *not* report (defaults to 0.0,
-    i.e. the list is complete).  Returns ``(top, exact)`` where ``top``
-    is the merged top-``k`` as ``(node, value)`` pairs — ties broken by
-    node id so the merge is deterministic — and ``exact`` is ``True``
-    iff no shard's unreported tail could displace any selected entry:
-    the k-th selected value must meet or exceed every tail bound.
-    """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    merged = [(float(value), int(node))
-              for shard_list in candidates
-              for node, value in shard_list]
-    merged.sort(key=lambda pair: (-pair[0], pair[1]))
-    top = [(node, value) for value, node in merged[:k]]
-    if tail_bounds is None:
-        tail_bounds = [0.0] * len(list(candidates))
-    if len(top) < k:
-        # fewer candidates than k: exact only if no shard held back
-        exact = not any(float(bound) > 0.0 for bound in tail_bounds)
-    else:
-        cutoff = top[-1][1]
-        exact = all(cutoff >= float(bound) for bound in tail_bounds)
-    return top, exact
-
-
 class ShardRouter:
     """One :class:`ProcessExecutor` per shard behind the executor API.
 
     Parameters
     ----------
     index_manager:
-        A sharded :class:`~repro.service.index_manager.IndexManager`
-        (``shards > 1``); the router runs ``index_manager.shards``
-        pools, each pinned to its shard's restricted bank.
+        The :class:`~repro.service.index_manager.IndexManager`; the
+        router runs ``index_manager.shards`` pools.  With several
+        shards each pool is pinned to its shard's restricted bank; the
+        one pool of an unsharded manager attaches the whole-space bank.
     workers_per_shard:
         Pool size per shard (total workers = shards × this).
     max_in_flight / task_timeout:
@@ -227,10 +199,6 @@ class ShardRouter:
     def __init__(self, index_manager, *, workers_per_shard: int = 1,
                  max_in_flight: int | None = None,
                  task_timeout: float = 120.0, metrics=None):
-        if index_manager.shards < 2:
-            raise ConfigError(
-                "ShardRouter needs a sharded IndexManager (shards >= 2); "
-                "use ProcessExecutor directly for one shard")
         self.index_manager = index_manager
         self.num_shards = index_manager.shards
         self.workers_per_shard = int(workers_per_shard)
@@ -243,7 +211,8 @@ class ShardRouter:
         self.executors = [
             ProcessExecutor(index_manager, workers=workers_per_shard,
                             max_in_flight=max_in_flight,
-                            task_timeout=task_timeout, shard=shard)
+                            task_timeout=task_timeout,
+                            shard=shard if self.num_shards > 1 else None)
             for shard in range(self.num_shards)]
 
     # -- lifecycle -----------------------------------------------------
@@ -262,29 +231,19 @@ class ShardRouter:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-    def warm(self, graph: str | None = None, alpha: float | None = None,
-             timeout: float = 30.0, *, banks=None) -> int:
-        """Warm every shard pool against its own restricted bank.
+    def warm(self, graph: str, alpha: float | None = None,
+             timeout: float = 30.0) -> int:
+        """Warm every shard pool against its own bank, concurrently.
 
         Each pool's view is pinned to its shard, so the same
         ``(graph, alpha)`` spec warms shard-``k`` workers with the
-        shard-``k`` bank and nothing else.  ``banks=`` (one entry per
-        worker of each pool) passes through.  Returns the total
+        shard-``k`` bank and nothing else.  Returns the total
         completed warm-ups across all pools.
         """
-        counts = [0] * self.num_shards
-
-        def one(shard: int):
-            counts[shard] = self.executors[shard].warm(
-                graph, alpha, timeout, banks=banks)
-
-        threads = [threading.Thread(target=one, args=(shard,), daemon=True)
-                   for shard in range(self.num_shards)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return sum(counts)
+        return sum(self._scatter([
+            (shard, (lambda shard=shard: self.executors[shard].warm(
+                graph, alpha, timeout)))
+            for shard in range(self.num_shards)]).values())
 
     # -- scatter-gather ------------------------------------------------
     def _scatter(self, calls):
@@ -345,10 +304,12 @@ class ShardRouter:
                       shard_stats: dict[int, dict]) -> None:
         """Fold per-shard extras into metrics and the stats out-param.
 
-        Each shard's fold time also feeds the straggler detector; a
-        flagged fold lands in ``stats["stragglers"]`` (the scheduler
-        annotates the scatter-gather dispatch span with it) and in the
-        ``straggler_folds`` metric.
+        With peer shards, each shard's fold time also feeds the
+        straggler detector; a flagged fold lands in
+        ``stats["stragglers"]`` (the scheduler annotates the
+        scatter-gather dispatch span with it) and in the
+        ``straggler_folds`` metric.  A lone shard has no peers to be
+        slow against, so nothing is flagged.
         """
         stragglers: list[dict] = []
         for shard in sorted(shard_stats):
@@ -356,7 +317,8 @@ class ShardRouter:
             fold = float(extra.get("fold_seconds", 0.0) or 0.0)
             fold += self._slowdowns().get(shard, 0.0)
             per_shard.append({"shard": shard, "fold_seconds": fold})
-            z = self.straggler_detector.observe(shard, fold)
+            z = (self.straggler_detector.observe(shard, fold)
+                 if self.num_shards > 1 else None)
             if z is not None:
                 stragglers.append({"shard": shard,
                                    "fold_seconds": fold,
@@ -383,12 +345,13 @@ class ShardRouter:
 
         Same contract as :meth:`ProcessExecutor.run_batch`; results are
         bit-identical to the unsharded executor for every kind.
-        ``pin`` is ignored (each pool pins its own warm tasks).
+        ``pin`` is ignored (each pool pins its own warm tasks).  One
+        shard answers every batch whole.
         """
         items = list(nodes)
         if not items:
             return []
-        if kind == "topk":
+        if kind == "topk" or self.num_shards == 1:
             return self._run_affinity(graph, kind, alpha, epsilon, items,
                                       timeout=timeout, trace=trace,
                                       stats=stats)
@@ -461,12 +424,15 @@ class ShardRouter:
 
     def _run_affinity(self, graph, kind, alpha, epsilon, items, *,
                       timeout, trace, stats):
-        """Top-k: one pool answers the whole batch (it borrows no bank,
-        so every pool's answer is identical — routing by the first
-        query node just spreads load deterministically)."""
-        shard_map = self.index_manager.shard_map(graph)
-        shard = int(shard_map.shard_of[int(items[0][0])])
-        shard_stats = {shard: {}}
+        """One pool answers the whole batch: the only pool, or for
+        top-k (which borrows no bank, so every pool's answer is
+        identical) the pool owning the first query node, which just
+        spreads load deterministically."""
+        shard = 0
+        if self.num_shards > 1:
+            shard_map = self.index_manager.shard_map(graph)
+            shard = int(shard_map.shard_of[int(items[0][0])])
+        shard_stats: dict[int, dict] = {shard: {}}
         gathered = self._scatter([
             (shard, lambda: self.executors[shard].run_batch(
                 graph, kind, alpha, epsilon, items, timeout=timeout,
@@ -490,10 +456,15 @@ class ShardRouter:
         return self.straggler_detector.stats()
 
     def stats(self) -> dict:
-        """Executor-shaped snapshot plus a per-shard breakdown."""
+        """Executor-shaped snapshot plus a per-shard breakdown.
+
+        ``mode`` is ``"process"`` for one shard and ``"sharded"``
+        otherwise; ``shard`` is ``None`` (the router as a whole serves
+        the whole node space), as a flat pool reports it."""
         per_shard = [executor.stats() for executor in self.executors]
         return {
-            "mode": "sharded",
+            "mode": "sharded" if self.num_shards > 1 else "process",
+            "shard": None,
             "shards": self.num_shards,
             "workers": self.num_workers,
             "alive": [flag for entry in per_shard

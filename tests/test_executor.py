@@ -326,6 +326,26 @@ class TestServiceByteIdentity:
         assert sum(process_stats["tasks_done"]) >= 1
         assert thread_payloads == process_payloads
 
+    def test_flat_process_healthz_keeps_the_pool_shape(self, graph):
+        """Flat process serving runs through the one-shard router; its
+        ``/healthz`` executor block keeps every key of a bare pool's
+        snapshot, with the flat pool's values."""
+        config = ServiceConfig(graph="test", alpha=ALPHA,
+                               epsilon=EPSILON, budget_scale=0.05,
+                               seed=SEED, max_wait_ms=2.0, port=0,
+                               workers=2, executor="process")
+        with PPRService(config, graph=graph) as svc:
+            svc.query("source", 3)
+            block = svc.healthz()["executor"]
+            bare = ProcessExecutor(svc.index_manager, workers=2).stats()
+        assert set(bare) <= set(block)
+        assert block["mode"] == "process"
+        assert block["workers"] == 2
+        assert block["shard"] is None
+        assert len(block["alive"]) == 2 and all(block["alive"])
+        assert sum(block["tasks_done"]) > 0
+        assert svc.index_manager._restricted == {}
+
     def test_no_leaked_segments_after_stop(self, graph):
         def segments():
             try:

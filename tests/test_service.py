@@ -724,6 +724,27 @@ class TestPPRService:
                                   direct.query(node).estimates)
 
 
+class TestFailureObservation:
+    @pytest.mark.parametrize("field", ["alpha", "epsilon"])
+    def test_non_numeric_alpha_epsilon_logged_once(self, field):
+        """A non-numeric α/ε is refused at admission with a ConfigError
+        naming the field, and the failure reaches both the tenant
+        table and the slow log exactly once."""
+        config = ServiceConfig(graph="tiny", alpha=ALPHA, seed=SEED,
+                               budget_scale=0.05, max_wait_ms=1.0,
+                               port=0)
+        with PPRService(config, graph=erdos_renyi(40, 0.2, rng=7)) as svc:
+            with pytest.raises(ConfigError, match=field):
+                svc.query("source", 1, **{field: "x"})
+            errors = [entry for entry in svc.slowlog.recent()
+                      if entry.get("error")]
+            assert len(errors) == 1
+            assert field in errors[0]["error"]
+            assert errors[0][field] == getattr(config, field)
+            assert [row["errors"] for row in svc.metrics.tenant_table()] \
+                == [1]
+
+
 class TestQuerySurface:
     """The three first-class query kinds, end to end through the
     service facade: scheduler batching, cache policy, and the
@@ -882,23 +903,24 @@ class TestHTTP:
         assert payload["weights"] == [0.25, 0.75]
         assert len(payload["top"]) == 4
 
+    def _error_code(self, call, *args) -> int:
+        """The HTTP status of a request that fails; the error response
+        (and its socket) is closed before returning."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(*args)
+        with excinfo.value:
+            return excinfo.value.code
+
     def test_bad_requests(self, base_url):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(f"{base_url}/query", {"kind": "source"})  # no node
-        assert excinfo.value.code == 400
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(f"{base_url}/query",
-                       {"kind": "source", "node": 10_000})
-        assert excinfo.value.code == 400
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(f"{base_url}/topk", {"node": 4})  # no k
-        assert excinfo.value.code == 400
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(f"{base_url}/multiseed", {"seeds": []})
-        assert excinfo.value.code == 400
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{base_url}/nope")
-        assert excinfo.value.code == 404
+        assert self._error_code(self._post, f"{base_url}/query",
+                                {"kind": "source"}) == 400  # no node
+        assert self._error_code(self._post, f"{base_url}/query",
+                                {"kind": "source", "node": 10_000}) == 400
+        assert self._error_code(self._post, f"{base_url}/topk",
+                                {"node": 4}) == 400  # no k
+        assert self._error_code(self._post, f"{base_url}/multiseed",
+                                {"seeds": []}) == 400
+        assert self._error_code(self._get, f"{base_url}/nope") == 404
 
     def test_metrics_endpoint(self, base_url):
         self._post(f"{base_url}/query", {"kind": "source", "node": 2})
@@ -962,8 +984,9 @@ class TestHTTP:
                          "X-Request-Id": "rid-err-1"})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10)
-            assert excinfo.value.code in (400, 404)
-            assert excinfo.value.headers["X-Request-Id"] == "rid-err-1"
+            with excinfo.value as error:
+                assert error.code in (400, 404)
+                assert error.headers["X-Request-Id"] == "rid-err-1"
 
     def test_request_id_echoed_and_propagated(self, base_url):
         body = json.dumps({"kind": "source", "node": 7}).encode()
@@ -1186,18 +1209,29 @@ class TestRequestPathGolden:
         ("unknown_path", "/nope", {"node": 1}),
     )
 
-    def _record(self) -> list[dict]:
+    @staticmethod
+    def serve(**overrides) -> PPRService:
+        """The started golden service, ``overrides`` applied to its
+        config (answers are the same for every topology)."""
         config = ServiceConfig(graph="golden", alpha=0.2, seed=7,
                                budget_scale=0.05, max_wait_ms=1.0,
-                               slowlog_threshold_ms=0, port=0)
-        service = PPRService(config, graph=erdos_renyi(40, 0.2, rng=7))
-        server = make_server(service.start(), port=0)
+                               slowlog_threshold_ms=0, port=0,
+                               **overrides)
+        return PPRService(config,
+                          graph=erdos_renyi(40, 0.2, rng=7)).start()
+
+    @classmethod
+    def replay(cls, service: PPRService) -> list[dict]:
+        """POST every case to ``service`` over real HTTP, in order, on
+        one keep-alive connection; one ``{case, status, body}`` record
+        per case."""
+        server = make_server(service, port=0)
         serve_forever(server, in_thread=True)
         records = []
         try:
             connection = http.client.HTTPConnection(
                 "127.0.0.1", server.server_port, timeout=30)
-            for name, path, body in self.CASES:
+            for name, path, body in cls.CASES:
                 connection.request(
                     "POST", path, body=json.dumps(body),
                     headers={"Content-Type": "application/json",
@@ -1214,6 +1248,13 @@ class TestRequestPathGolden:
         finally:
             server.shutdown()
             server.server_close()
+        return records
+
+    def _record(self) -> list[dict]:
+        service = self.serve()
+        try:
+            records = self.replay(service)
+        finally:
             service.stop()
         logged = {entry["request_id"]: entry
                   for entry in service.slowlog.recent()}

@@ -12,14 +12,16 @@ dynamic lifecycle.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.config import PPRConfig
-from repro.exceptions import ConfigError, ReproError
+from repro.exceptions import ConfigError
 from repro.graph import from_edges
 from repro.graph.delta import GraphDelta, parse_edge_spec
 from repro.graph.generators import erdos_renyi, with_random_weights
@@ -42,7 +44,6 @@ from repro.shard.router import (
     SLOWDOWN_ENV,
     ShardRouter,
     StragglerDetector,
-    bounded_topk_merge,
 )
 
 SEED = 2022
@@ -310,35 +311,6 @@ class TestShardBankFormat:
 
 
 # ---------------------------------------------------------------------
-class TestBoundedTopkMerge:
-    def test_merges_across_shards(self):
-        top, exact = bounded_topk_merge(
-            [[(1, 0.5), (2, 0.2)], [(3, 0.4), (4, 0.1)]], 3)
-        assert top == [(1, 0.5), (3, 0.4), (2, 0.2)]
-        assert exact
-
-    def test_ties_break_by_node_id(self):
-        top, _ = bounded_topk_merge([[(7, 0.3)], [(2, 0.3)]], 2)
-        assert top == [(2, 0.3), (7, 0.3)]
-
-    def test_short_result_exact_only_without_tail_mass(self):
-        _, exact = bounded_topk_merge([[(1, 0.5)]], 3,
-                                      tail_bounds=[0.0])
-        assert exact
-        _, exact = bounded_topk_merge([[(1, 0.5)]], 3,
-                                      tail_bounds=[0.01])
-        assert not exact
-
-    def test_cutoff_vs_tail_bounds(self):
-        candidates = [[(1, 0.5), (2, 0.4)], [(3, 0.3)]]
-        _, exact = bounded_topk_merge(candidates, 2,
-                                      tail_bounds=[0.1, 0.35])
-        assert exact  # cutoff 0.4 dominates both bounds
-        _, exact = bounded_topk_merge(candidates, 2,
-                                      tail_bounds=[0.45, 0.0])
-        assert not exact
-
-
 class TestStragglerDetector:
     def test_min_samples_guard(self):
         detector = StragglerDetector(min_samples=8)
@@ -442,6 +414,14 @@ def graph():
     return erdos_renyi(200, 0.03, rng=SEED)
 
 
+def _without_timings(results) -> list:
+    """Results with their wall-clock ``*_seconds`` stats dropped — the
+    only fields two runs of one batch may differ in."""
+    return [dataclasses.replace(result, stats={
+        key: value for key, value in result.stats.items()
+        if not key.endswith("_seconds")}) for result in results]
+
+
 def _manager(graph, **overrides):
     config = PPRConfig(alpha=ALPHA, epsilon=EPSILON, seed=SEED,
                        budget_scale=0.05)
@@ -511,11 +491,50 @@ class TestShardedManager:
 
 
 class TestShardRouter:
-    def test_requires_multiple_shards(self, graph):
+    def test_one_shard_is_the_flat_pool(self, graph, monkeypatch):
+        """Flat process serving is the 1-shard router: its one pool
+        attaches the whole-space bank (no restriction is published),
+        answers every kind byte-equal to a bare pool, reports the flat
+        pool's executor shape, and flags no straggler — a lone shard
+        has no peers to be slow against."""
         manager = _manager(graph)
-        with pytest.raises(ConfigError, match="shards"):
-            ShardRouter(manager)
-        manager.close_shared()
+        flat = ProcessExecutor(manager, workers=1).start()
+        router = ShardRouter(manager, workers_per_shard=1).start()
+        try:
+            assert router.warm("test", ALPHA) == 1
+            for kind, items in (
+                    ("source", (0, 5, 17, 150)),
+                    ("target", (3, 42)),
+                    ("multiseed", (((1, 2, 5), (0.2, 0.3, 0.5)),)),
+                    ("topk", ((3, 5), (42, 3))),
+                    ("pair", ((1, 7), (150, 11)))):
+                expected = flat.run_batch("test", kind, ALPHA, EPSILON,
+                                          items)
+                routed = router.run_batch("test", kind, ALPHA, EPSILON,
+                                          items)
+                assert pickle.dumps(_without_timings(routed)) \
+                    == pickle.dumps(_without_timings(expected)), kind
+            assert manager._restricted == {}
+            stats = router.stats()
+            assert stats["mode"] == "process"
+            assert stats["shard"] is None
+            assert stats["workers"] == 1
+            monkeypatch.delenv(SLOWDOWN_ENV, raising=False)
+            for node in range(10):
+                router.run_batch("test", "source", ALPHA, EPSILON,
+                                 (node,))
+            monkeypatch.setenv(SLOWDOWN_ENV, "0:0.75")
+            extra: dict = {}
+            router.run_batch("test", "source", ALPHA, EPSILON, (50,),
+                             stats=extra)
+            assert extra["per_shard"][0]["fold_seconds"] >= 0.75
+            assert "stragglers" not in extra
+            assert all(row["straggler_folds"] == 0 for row
+                       in router.straggler_stats()["per_shard"])
+        finally:
+            router.shutdown()
+            flat.shutdown()
+            manager.close_shared()
 
     def test_warm_covers_every_shard(self, router_setup):
         _, _, router = router_setup
@@ -596,23 +615,6 @@ class TestShardRouter:
         assert stats["fold_seconds"] >= max(
             0.0, *(entry["fold_seconds"]
                    for entry in stats["per_shard"]))
-
-
-class TestWarmBanksList:
-    def test_per_worker_bank_specs(self, graph):
-        manager = _manager(graph)
-        executor = ProcessExecutor(manager, workers=2).start()
-        try:
-            assert executor.warm(banks=[("test", None), None]) == 1
-            assert executor.warm(banks=[("test", ALPHA),
-                                        ("test", ALPHA)]) == 2
-            with pytest.raises(ReproError, match="banks"):
-                executor.warm(banks=[("test", None)])
-            with pytest.raises(ReproError, match="graph"):
-                executor.warm()
-        finally:
-            executor.shutdown()
-            manager.close_shared()
 
 
 # ---------------------------------------------------------------------
