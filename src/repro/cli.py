@@ -160,8 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (0 = let the OS pick)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="most requests grouped into one solver call")
-    serve.add_argument("--max-wait-ms", type=float, default=10.0,
-                       help="deadline before a partial batch is flushed")
+    serve.add_argument("--max-wait-ms", type=float, default=0.0,
+                       help="linger before a partial batch is flushed "
+                            "(0 = flush as soon as a flush thread is "
+                            "free)")
     serve.add_argument("--queue-capacity", type=int, default=256,
                        help="admission bound before 429 backpressure")
     serve.add_argument("--cache-entries", type=int, default=512,

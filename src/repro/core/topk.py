@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from repro.core.config import PPRConfig
 from repro.counters import WorkCounters
@@ -200,7 +200,7 @@ def top_k_single_source(graph: Graph, source: int, k: int, *,
     if batch_size <= 0 or max_forests < batch_size:
         raise ConfigError("need 0 < batch_size <= max_forests")
     config = _prepare(graph, source, config, overrides)
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     estimator = _SequentialEstimator(graph, source, config)
 
     converged = False
@@ -243,7 +243,7 @@ def heavy_hitters(graph: Graph, source: int, threshold: float, *,
     if batch_size <= 0 or max_forests < batch_size:
         raise ConfigError("need 0 < batch_size <= max_forests")
     config = _prepare(graph, source, config, overrides)
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     estimator = _SequentialEstimator(graph, source, config)
 
     converged = False
@@ -325,7 +325,7 @@ class BatchTopKSolver:
         self.max_forests = int(max_forests)
         self.early_stop = bool(early_stop)
         self._improved = not graph.directed
-        self._z = float(norm.ppf(0.5 + self.confidence / 2.0))
+        self._z = float(ndtri(0.5 + self.confidence / 2.0))
         self._closed = False
         self._queries_served = 0
         self._push_work = 0

@@ -67,8 +67,10 @@ class ServiceConfig:
     max_batch:
         Most requests one batch-solver call may group.
     max_wait_ms:
-        Deadline: a partially filled batch is flushed once its oldest
-        request has waited this long.
+        Opt-in linger: how long a partially filled batch may wait for
+        batch-mates before it is flushed.  ``0`` (the default) flushes
+        as soon as a flush thread is free; requests still coalesce, up
+        to ``max_batch``, behind whatever fold is in flight.
     queue_capacity:
         Bound on admitted-but-unserved requests; beyond it the
         scheduler rejects with a retry-after hint (backpressure).
@@ -125,7 +127,7 @@ class ServiceConfig:
     shards: int = 1
     shard_strategy: str = "hash"
     max_batch: int = 32
-    max_wait_ms: float = 10.0
+    max_wait_ms: float = 0.0
     queue_capacity: int = 256
     cache_entries: int = 512
     topk_max_k: int = 100

@@ -50,6 +50,7 @@ import multiprocessing
 import os
 import threading
 import time
+import weakref
 from collections import deque
 from multiprocessing import connection
 
@@ -70,6 +71,16 @@ from repro.parallel.shared_graph import graph_from_bank
 from repro.service.index_manager import IndexManager, SOLVER_CLASSES
 
 __all__ = ["ProcessExecutor", "ExecutorError"]
+
+#: Every parent-side pipe end this process holds, across all pools.  A
+#: forked worker inherits copies of them all — its own pipe's parent
+#: end included — and closes them first thing: a worker's ``recv`` can
+#: only see EOF when the parent dies (however it dies) if no other
+#: process still holds that parent end.  The lock spans pipe creation
+#: and fork, so no worker is forked between a pipe's birth and its
+#: registration here.
+_PARENT_ENDS: weakref.WeakSet = weakref.WeakSet()
+_SPAWN_LOCK = threading.Lock()
 
 
 def _normalize_items(kind: str, items) -> tuple:
@@ -235,8 +246,12 @@ class _WorkerCache:
             del self.solvers[key]
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, inherited=()) -> None:
     """Worker loop: recv a task, attach warm, fold, reply; None exits.
+
+    ``inherited`` are the parent-side pipe ends forked into this
+    worker; they are closed before anything else (see
+    :data:`_PARENT_ENDS`).
 
     Replies are ``(task_id, "done"|"error", payload, extra)`` where
     ``extra`` carries worker-side observability: the fold wall time
@@ -245,6 +260,8 @@ def _worker_main(conn) -> None:
     timestamps are system-wide on Linux, so the parent grafts those
     spans straight into the request's tree (:meth:`Span.add_raw`).
     """
+    for end in inherited:
+        end.close()
     cache = _WorkerCache()
     while True:
         try:
@@ -384,12 +401,16 @@ class ProcessExecutor:
 
     def _spawn(self, worker_id: int) -> None:
         """Fork one worker on a fresh pipe pair (caller holds no locks)."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main, args=(child_conn,),
-            name=f"ppr-exec-worker-{worker_id}", daemon=True)
-        process.start()
-        child_conn.close()  # the worker's end lives in the worker only
+        with _SPAWN_LOCK:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            _PARENT_ENDS.add(parent_conn)
+            process = self._ctx.Process(
+                target=_worker_main,
+                args=(child_conn, list(_PARENT_ENDS)),
+                name=f"ppr-exec-worker-{worker_id}", daemon=True)
+            process.start()
+            # the worker's end lives in the worker only
+            child_conn.close()
         # publish the pair atomically: the dispatcher must never see a
         # live process next to a stale/absent pipe
         with self._cond:

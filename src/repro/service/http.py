@@ -160,7 +160,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(429, {"error": str(full),
                              "retry_after": full.retry_after},
                        headers={**echo, "Retry-After":
-                                f"{max(full.retry_after, 0.001):.3f}"})
+                                f"{full.retry_after:.3f}"})
         except (KeyError, TypeError, ValueError,
                 json.JSONDecodeError) as error:
             self._send(400, {"error": f"bad request: {error}"},

@@ -8,16 +8,22 @@ front end and the batch solvers and
 
 - admits requests into a **bounded queue** (total across groups);
   beyond ``queue_capacity`` it rejects with
-  :class:`SchedulerFull` carrying a ``retry_after`` hint
-  (backpressure, surfaced as HTTP 429);
+  :class:`SchedulerFull` carrying a ``retry_after`` hint sized from
+  the measured drain time (backpressure, surfaced as HTTP 429);
 - groups requests by **compatibility key** ``(graph, kind, α, ε)`` —
   requests that can share one batch-solver call.  Incompatible
   configurations are never mixed: a group's batch binds exactly one
   solver;
-- flushes a group when it reaches **max_batch** or when its oldest
-  request has waited **max_wait** (deadline-based flush), whichever
-  comes first.  A deadline wake-up that finds the group already
-  drained is a no-op, not an error.
+- **flushes when free**: a flush thread with nothing to fold takes the
+  oldest queued group at once, up to ``max_batch`` requests of it.
+  Batches form on their own under load — requests that arrive while
+  every flush thread is folding queue up behind the fold in flight and
+  leave together as the next batch.  A lone request never waits for
+  batch-mates that may not come.
+- ``max_wait`` (default 0) is an opt-in **linger**: when positive, a
+  group below ``max_batch`` is held until its oldest request has
+  waited that long, trading latency for fuller batches.  A wake-up
+  that finds the group already drained is a no-op, not an error.
 
 Results are per-request result objects — full-vector
 :class:`~repro.core.result.PPRResult`, pair
@@ -32,6 +38,7 @@ is computed.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -44,12 +51,17 @@ from repro.service.metrics import ServiceMetrics
 
 __all__ = ["QueryRequest", "SchedulerFull", "MicroBatchScheduler"]
 
+#: lower bound, in seconds, of the back-off a 429 suggests (and the
+#: whole hint until a batch has been timed)
+RETRY_AFTER_FLOOR = 0.01
+
 
 class SchedulerFull(ReproError):
     """Raised when the admission queue is at capacity.
 
-    ``retry_after`` is the suggested client back-off in seconds (one
-    flush window — by then at least one batch has drained).
+    ``retry_after`` is the suggested client back-off in seconds: the
+    time the queue ahead is expected to take to drain (see
+    :meth:`MicroBatchScheduler.retry_after`).
     """
 
     def __init__(self, depth: int, retry_after: float):
@@ -168,10 +180,12 @@ class _Pending:
 
 
 class MicroBatchScheduler:
-    """Deadline-flushed, bounded, compatibility-grouped batcher."""
+    """Bounded, compatibility-grouped batcher that flushes as soon as
+    a flush thread is free (or, with ``max_wait_ms > 0``, once a
+    partial batch has lingered that long)."""
 
     def __init__(self, index_manager: IndexManager, *,
-                 max_batch: int = 32, max_wait_ms: float = 10.0,
+                 max_batch: int = 32, max_wait_ms: float = 0.0,
                  queue_capacity: int = 256,
                  metrics: ServiceMetrics | None = None,
                  executors: int = 1, executor=None):
@@ -190,6 +204,9 @@ class MicroBatchScheduler:
         #: either way, see repro.service.executor)
         self.executor = executor
         self.fallback_batches = 0
+        #: wall time of the last completed batch (0 before the first);
+        #: sizes the 429 back-off hint
+        self.batch_seconds = 0.0
         self._groups: OrderedDict[tuple, deque[_Pending]] = OrderedDict()
         self._depth = 0
         self._cond = threading.Condition()
@@ -243,13 +260,21 @@ class MicroBatchScheduler:
         with self._cond:
             if self._depth >= self.queue_capacity:
                 raise SchedulerFull(self._depth,
-                                    retry_after=max(self.max_wait, 0.001))
+                                    self.retry_after(self._depth))
             pending = _Pending(request, now, span)
             self._groups.setdefault(request.group_key,
                                     deque()).append(pending)
             self._depth += 1
             self._cond.notify()
             return pending
+
+    def retry_after(self, depth: int) -> float:
+        """Seconds until ``depth`` queued requests have likely drained:
+        the last batch's time × the batches they fill, never below the
+        linger or :data:`RETRY_AFTER_FLOOR`."""
+        batches = math.ceil(depth / self.max_batch)
+        return max(self.batch_seconds * batches, self.max_wait,
+                   RETRY_AFTER_FLOOR)
 
     def submit(self, request: QueryRequest, timeout: float | None = 30.0):
         """Admit and block until the batch containing it executes.
@@ -270,27 +295,33 @@ class MicroBatchScheduler:
             self._execute(batch)
 
     def _collect_locked(self, now: float) -> list[_Pending] | None:
-        """Pop one ready batch, or ``None`` when nothing is due.
+        """Pop up to ``max_batch`` requests of the ready group with the
+        oldest head, or ``None`` when nothing is due.
 
         Ready = a group at ``max_batch``, or any group whose oldest
-        request has aged past the flush deadline.  Groups whose
-        deadline fires after being drained by another executor simply
-        no longer exist here — the empty-flush case is a silent no-op.
+        request has lingered ``max_wait`` — every queued group when
+        ``max_wait`` is 0.  Groups drained by another flush thread
+        simply no longer exist here — the empty-flush case is a silent
+        no-op.
         """
-        for key, group in self._groups.items():
-            if (len(group) >= self.max_batch
-                    or now - group[0].enqueued_at >= self.max_wait):
-                batch = [group.popleft()
-                         for _ in range(min(self.max_batch, len(group)))]
-                if not group:
-                    del self._groups[key]
-                self._depth -= len(batch)
-                self._cond.notify_all()
-                return batch
-        return None
+        ready = [key for key, group in self._groups.items()
+                 if len(group) >= self.max_batch
+                 or now - group[0].enqueued_at >= self.max_wait]
+        if not ready:
+            return None
+        key = min(ready, key=lambda k: self._groups[k][0].enqueued_at)
+        group = self._groups[key]
+        batch = [group.popleft()
+                 for _ in range(min(self.max_batch, len(group)))]
+        if not group:
+            del self._groups[key]
+        self._depth -= len(batch)
+        self._cond.notify_all()
+        return batch
 
     def _next_wait_locked(self) -> float | None:
-        """Seconds until the earliest group deadline (None = idle)."""
+        """Seconds until the earliest group's linger ends (None =
+        idle)."""
         if not self._groups:
             return None
         now = time.monotonic()
@@ -361,6 +392,7 @@ class MicroBatchScheduler:
             pending.event.set()
         with self._cond:
             self.batches_executed += 1
+            self.batch_seconds = total_seconds
         if self.metrics is not None:
             self.metrics.record_batch(
                 len(batch), work_sum if work_sum is not None else {})

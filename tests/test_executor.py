@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.batch import BatchSourceSolver
 from repro.core.config import PPRConfig
 from repro.exceptions import ConfigError, ReproError
@@ -46,6 +50,20 @@ def _manager(graph, **overrides):
     manager = IndexManager(config, num_forests=4)
     manager.register_graph("test", graph)
     return manager
+
+
+def _gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie awaiting its reaper
+    counts as exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, IndexError):
+        return True
 
 
 def _wait_until(predicate, timeout=20.0, interval=0.05):
@@ -228,6 +246,48 @@ class TestProcessExecutor:
         with pytest.raises(ExecutorError, match="not running"):
             executor.run_batch("test", "source", ALPHA, EPSILON, [0])
         manager.close_shared()
+
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """A parent killed without ``shutdown()`` must not leave its
+        workers behind: each worker holds no copy of any parent-side
+        pipe end, so its ``recv`` sees EOF and it exits."""
+        script = textwrap.dedent(f"""
+            import time
+            from repro.core.config import PPRConfig
+            from repro.graph.generators import erdos_renyi
+            from repro.service import IndexManager, ProcessExecutor
+
+            manager = IndexManager(
+                PPRConfig(alpha={ALPHA}, epsilon={EPSILON}, seed={SEED},
+                          budget_scale=0.05), num_forests=4)
+            manager.register_graph("test", erdos_renyi(50, 0.1, rng=1))
+            executor = ProcessExecutor(manager, workers=2).start()
+            print(*(process.pid for process in executor._procs),
+                  flush=True)
+            time.sleep(600)
+        """)
+        # the child imports the same repro package this test does
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        parent = subprocess.Popen([sys.executable, "-c", script],
+                                  stdout=subprocess.PIPE, text=True,
+                                  env=env)
+        workers: list[int] = []
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=30)
+            assert _wait_until(lambda: all(_gone(pid) for pid in workers),
+                               timeout=30.0)
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+            parent.stdout.close()
+            for pid in workers:
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestWorkerCacheEviction:

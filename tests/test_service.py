@@ -7,6 +7,8 @@ import json
 import os
 import re
 import socket
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.core.batch import BatchSourceSolver, BatchTargetSolver
 from repro.core.config import PPRConfig
 from repro.exceptions import ConfigError
@@ -42,6 +45,7 @@ from repro.service.metrics import (
     OVERFLOW_TENANT,
     clean_tenant,
 )
+from repro.service.scheduler import RETRY_AFTER_FLOOR
 
 SEED = 2022
 ALPHA = 0.2
@@ -548,6 +552,60 @@ class TestScheduler:
         assert excinfo.value.retry_after > 0
         assert scheduler.queue_depth == 2
 
+    def test_retry_after_is_the_drain_time_without_linger(self, graph):
+        """With no linger the 429 hint comes from the measured batch
+        time and the queue ahead, never from ``max_wait`` alone — it
+        must not collapse to ~0 s while the queue is full."""
+        scheduler = self._scheduler(graph, max_wait_ms=0.0, max_batch=1,
+                                    queue_capacity=2)
+        assert scheduler.retry_after(2) == RETRY_AFTER_FLOOR
+        scheduler.start()
+        try:
+            scheduler.submit(QueryRequest(
+                graph="test", kind="source", node=0,
+                alpha=ALPHA, epsilon=EPSILON), timeout=30.0)
+        finally:
+            scheduler.stop()
+        batch_seconds = scheduler.batch_seconds
+        assert batch_seconds > 0
+        # stopped: admissions accumulate up to capacity
+        for node in (1, 2):
+            scheduler.submit_nowait(QueryRequest(
+                graph="test", kind="source", node=node,
+                alpha=ALPHA, epsilon=EPSILON))
+        with pytest.raises(SchedulerFull) as excinfo:
+            scheduler.submit_nowait(QueryRequest(
+                graph="test", kind="source", node=3,
+                alpha=ALPHA, epsilon=EPSILON))
+        # two queued batches of one request each drain before a retry
+        assert excinfo.value.retry_after == max(2 * batch_seconds,
+                                                RETRY_AFTER_FLOOR)
+
+    def test_flushes_when_free_and_lingers_only_on_request(self, graph):
+        request = QueryRequest(graph="test", kind="source", node=0,
+                               alpha=ALPHA, epsilon=EPSILON)
+        default_wait = ServiceConfig().max_wait_ms
+        assert default_wait == 0
+        eager = self._scheduler(graph, max_wait_ms=default_wait)
+        # a lone request is due the instant it is queued
+        pending = eager.submit_nowait(request)
+        with eager._cond:
+            assert eager._collect_locked(pending.enqueued_at) == [pending]
+        eager.start()
+        try:
+            assert eager.submit(request, timeout=30.0).query_node == 0
+        finally:
+            eager.stop()
+        # an opt-in linger holds a partial batch for batch-mates
+        lingering = self._scheduler(graph, max_wait_ms=60_000).start()
+        try:
+            pending = lingering.submit_nowait(request)
+            assert not pending.event.wait(0.5)
+            assert lingering.queue_depth == 1
+            assert lingering.batches_executed == 0
+        finally:
+            lingering.stop(drain=False)
+
     def test_mixed_epsilon_never_shares_a_batch(self, graph):
         scheduler = self._scheduler(graph, max_batch=16, max_wait_ms=20.0)
         pendings = []
@@ -1009,6 +1067,21 @@ class TestHTTP:
             assert response.headers["X-Request-Id"]
             payload = json.loads(response.read())
         assert "debug" not in payload
+
+
+def test_http_front_end_imports_without_scipy_stats():
+    """``scipy.stats`` is about half the server's import time and the
+    front end needs none of it (top-k takes its z from
+    ``scipy.special.ndtri``); a fresh interpreter proves it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, repro.service.http; "
+            "print('scipy.stats' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestOneLatencyHistogram:
