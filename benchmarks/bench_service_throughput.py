@@ -18,6 +18,9 @@ so the measurement captures scheduling + batching + solving without
 HTTP noise; the HTTP front end is exercised by the CI smoke job
 instead.  The result cache is disabled — the claim is about batching,
 not memoisation.
+
+The file also holds the worker- and shard-scaling benches and the ≤5%
+tracing/telemetry overhead budget (:func:`bench_instrumentation_overhead`).
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ SERVED_QUERIES = 256
 CONCURRENCY = 32
 
 
-def _bench_graph():
-    degrees = 2.0 + 8.0 * (np.arange(NODES, dtype=np.float64) % 97) / 96.0
+def _bench_graph(nodes: int = NODES):
+    degrees = 2.0 + 8.0 * (np.arange(nodes, dtype=np.float64) % 97) / 96.0
     return chung_lu(degrees, rng=SEED)
 
 
@@ -310,3 +313,95 @@ def bench_service_sharded_scaling(benchmark, show_table):
     else:
         print(f"\n(cpu_count={cores}: sharding assertion skipped; "
               f"sharded/pooled ratio {ratio:.2f}x)")
+
+
+#: The instrumentation budget: a traced or telemetry-recording
+#: micro-batch may be at most this much slower than its bare twin.
+OVERHEAD_BUDGET = 0.05
+OVERHEAD_NODES = 4000
+OVERHEAD_REPEATS = 3
+
+
+def bench_instrumentation_overhead(benchmark, show_table):
+    """Tracing and telemetry cost at most 5% of a pooled micro-batch.
+
+    One 16-source batch is folded by a warm 2-worker process executor
+    over shared-memory banks (pool boot and warm attach stay outside
+    the timing) three ways: bare; with full span collection
+    (``trace=True``); and with the continuous-telemetry stack —
+    rolling windows, burn-rate SLOs, tenant attribution — recording
+    every request.  Each is timed best-of-3, so each ratio isolates
+    one instrumentation cost.  Sub-millisecond batches are timer noise
+    at 5%, so the budget is not asserted when the bare floor is under
+    1 ms.
+    """
+    from repro.core.config import PPRConfig
+    from repro.obs.slo import SLOEngine, default_specs
+    from repro.obs.timeseries import TimeSeriesStore
+    from repro.service import IndexManager, ProcessExecutor
+    from repro.service.metrics import ServiceMetrics
+
+    graph = _bench_graph(OVERHEAD_NODES)
+    batch = list(range(16))
+    manager = IndexManager(
+        PPRConfig(alpha=ALPHA, epsilon=EPSILON, budget_scale=BUDGET_SCALE,
+                  seed=SEED, workers=0), num_forests=16)
+    manager.register_graph("bench", graph)
+    metrics = ServiceMetrics(timeseries=TimeSeriesStore(),
+                             slo=SLOEngine(default_specs()))
+
+    def bare(executor):
+        executor.run_batch("bench", "source", ALPHA, EPSILON, batch)
+
+    def traced(executor):
+        executor.run_batch("bench", "source", ALPHA, EPSILON, batch,
+                           trace=True, stats={})
+
+    def telemetry(executor):
+        started = time.perf_counter()
+        results = executor.run_batch("bench", "source", ALPHA, EPSILON,
+                                     batch)
+        seconds = (time.perf_counter() - started) / len(batch)
+        for position, result in enumerate(results):
+            metrics.record_request("source", seconds,
+                                   tenant=f"tenant{position % 4}",
+                                   work=result.work.as_dict())
+
+    def best_of(kernel, executor) -> float:
+        best = float("inf")
+        for _ in range(OVERHEAD_REPEATS):
+            started = time.perf_counter()
+            kernel(executor)
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    def measure():
+        executor = ProcessExecutor(manager, workers=2).start()
+        try:
+            executor.warm("bench", ALPHA)
+            return {name: best_of(kernel, executor)
+                    for name, kernel in (("bare", bare),
+                                         ("tracing", traced),
+                                         ("telemetry", telemetry))}
+        finally:
+            executor.shutdown()
+            manager.close_shared()
+
+    seconds = benchmark.pedantic(measure, rounds=1, iterations=1)
+    base = seconds["bare"]
+    overheads = {name: seconds[name] / base - 1.0
+                 for name in ("tracing", "telemetry")}
+    show_table(f"Instrumentation overhead on n={OVERHEAD_NODES} Chung-Lu "
+               f"(16-source batch, 2 workers, best of {OVERHEAD_REPEATS})",
+               [{"mode": name, "seconds": seconds[name],
+                 "overhead": overheads.get(name, 0.0)}
+                for name in seconds])
+    if base < 1e-3:
+        print(f"\n(bare floor {base * 1000:.2f} ms < 1 ms: "
+              "overhead budget not asserted)")
+        return
+    for name, overhead in overheads.items():
+        assert overhead <= OVERHEAD_BUDGET, (
+            f"{name} overhead {overhead:+.1%} over the "
+            f"{OVERHEAD_BUDGET:.0%} budget ({seconds[name]:.4f}s vs "
+            f"{base:.4f}s bare)")

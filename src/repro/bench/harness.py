@@ -7,10 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.counters import WORK_STATS_PREFIX, WorkCounters
-
-__all__ = ["Timer", "run_with_timing", "summarize", "work_summary",
-           "total_work"]
+__all__ = ["Timer", "run_with_timing", "summarize"]
 
 
 class Timer:
@@ -60,31 +57,6 @@ def run_with_timing(func, queries, *args, **kwargs) -> QueryTimings:
         elapsed = time.perf_counter() - started
         timings.add(elapsed, getattr(result, "stats", None))
     return timings
-
-
-def work_summary(timings: QueryTimings) -> dict[str, dict[str, float]]:
-    """Summarise the ``work_*`` counters collected across queries.
-
-    Wall clock varies with the host; these counters don't, so
-    experiment drivers report them next to seconds — a run that got
-    slower without doing more work points at the machine, one that did
-    more work points at the code.
-    """
-    return {key[len(WORK_STATS_PREFIX):]: summarize(values)
-            for key, values in sorted(timings.counters.items())
-            if key.startswith(WORK_STATS_PREFIX)}
-
-
-def total_work(timings: QueryTimings) -> WorkCounters:
-    """Sum the collected ``work_*`` counters into one record."""
-    totals = WorkCounters()
-    for key, values in timings.counters.items():
-        if key.startswith(WORK_STATS_PREFIX):
-            name = key[len(WORK_STATS_PREFIX):]
-            if hasattr(totals, name):
-                setattr(totals, name,
-                        getattr(totals, name) + int(sum(values)))
-    return totals
 
 
 def summarize(values) -> dict[str, float]:

@@ -1,21 +1,9 @@
-"""Rendering and persistence for experiment results.
-
-Markdown tables feed EXPERIMENTS.md; the JSON helpers carry the CI
-benchmark-regression gate (see ``repro.bench.ci_gate`` and the "CI
-protocol" section of docs/BENCHMARKING.md): a run is written with
-:func:`write_benchmark_json`, and :func:`compare_to_baseline` flags
-kernels whose *calibrated* wall clock or work counters drifted past a
-threshold against the committed ``benchmarks/baseline.json``.
-"""
+"""Markdown rendering for experiment results (EXPERIMENTS.md and the
+tables the ``benchmarks/bench_*.py`` files print)."""
 
 from __future__ import annotations
 
-import json
-import os
-
-__all__ = ["format_markdown_table", "format_value",
-           "write_benchmark_json", "load_benchmark_json",
-           "compare_to_baseline"]
+__all__ = ["format_markdown_table", "format_value"]
 
 
 def format_value(value) -> str:
@@ -48,77 +36,3 @@ def format_markdown_table(rows: list[dict], columns: list[str] | None = None,
         body.append("| " + " | ".join(
             format_value(row.get(column, "")) for column in columns) + " |")
     return "\n".join([header, rule] + body)
-
-
-# ----------------------------------------------------------------------
-# Benchmark JSON persistence and the regression comparison
-# ----------------------------------------------------------------------
-def write_benchmark_json(path: str | os.PathLike, kernels: dict[str, dict],
-                         meta: dict | None = None) -> None:
-    """Write a benchmark run as JSON.
-
-    ``kernels`` maps a kernel name to ``{"seconds": float, "counters":
-    {name: int}}``; ``meta`` should carry at least
-    ``calibration_seconds`` (see :func:`compare_to_baseline`) plus
-    anything useful for provenance (seed, graph size, python version).
-    """
-    payload = {"meta": dict(meta or {}), "kernels": kernels}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_benchmark_json(path: str | os.PathLike) -> dict:
-    """Load a file written by :func:`write_benchmark_json`."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def compare_to_baseline(current: dict, baseline: dict,
-                        threshold: float = 0.25) -> list[dict]:
-    """Flag kernels that regressed more than ``threshold`` vs baseline.
-
-    Wall clock is *calibrated* before comparison: each run records a
-    fixed pure-NumPy calibration kernel, and kernel seconds are scored
-    as ``seconds / calibration_seconds`` so a slower CI runner does not
-    read as a code regression.  Work counters are compared raw — they
-    are machine-independent, so any growth past the threshold is real
-    extra work (or an intentional algorithm change; refresh the
-    baseline in that case, see docs/BENCHMARKING.md).
-
-    Returns one dict per regression (empty list = gate passes).  New
-    kernels missing from the baseline are ignored; kernels missing
-    from the current run are reported (a silently dropped kernel must
-    not pass the gate).
-    """
-    regressions: list[dict] = []
-    current_cal = float(current.get("meta", {}).get(
-        "calibration_seconds", 0.0)) or 1.0
-    baseline_cal = float(baseline.get("meta", {}).get(
-        "calibration_seconds", 0.0)) or 1.0
-    limit = 1.0 + threshold
-    for name, base in baseline.get("kernels", {}).items():
-        entry = current.get("kernels", {}).get(name)
-        if entry is None:
-            regressions.append({"kernel": name, "metric": "missing",
-                                "ratio": float("inf"), "limit": limit})
-            continue
-        base_score = float(base["seconds"]) / baseline_cal
-        cur_score = float(entry["seconds"]) / current_cal
-        if base_score > 0 and cur_score / base_score > limit:
-            regressions.append({
-                "kernel": name, "metric": "seconds",
-                "baseline": base_score, "current": cur_score,
-                "ratio": cur_score / base_score, "limit": limit})
-        for counter, base_value in base.get("counters", {}).items():
-            cur_value = entry.get("counters", {}).get(counter)
-            if cur_value is None or base_value <= 0:
-                continue
-            ratio = float(cur_value) / float(base_value)
-            if ratio > limit:
-                regressions.append({
-                    "kernel": name, "metric": f"counters.{counter}",
-                    "baseline": float(base_value),
-                    "current": float(cur_value),
-                    "ratio": ratio, "limit": limit})
-    return regressions

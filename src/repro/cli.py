@@ -35,8 +35,6 @@ top
 obs
     Offline observability tooling: ``report`` renders a dumped
     ``/statusz`` JSON snapshot with the same layout ``top`` uses.
-bench
-    Run the calibrated CI benchmark gate (see ``repro.bench.ci_gate``).
 
 All stochastic commands accept ``--seed`` and are fully reproducible.
 """
@@ -366,17 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.add_argument("snapshot",
                             help="path to a saved /statusz response")
 
-    bench = commands.add_parser(
-        "bench", help="run the calibrated benchmark gate")
-    bench.add_argument("--output", default=None,
-                       help="write kernel timings JSON here")
-    bench.add_argument("--baseline", default=None,
-                       help="baseline JSON to compare against")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="allowed slowdown vs baseline")
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--profile", default=None, metavar="PATH",
-                       help="write collapsed profiler stacks here")
     return parser
 
 
@@ -1039,31 +1026,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the calibrated CI gate, optionally under the profiler."""
-    from repro.bench import ci_gate
-
-    argv = ["--workers", str(args.workers),
-            "--threshold", str(args.threshold)]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-
-    profiler = None
-    if args.profile:
-        from repro.obs.profiler import SamplingProfiler
-
-        profiler = SamplingProfiler()
-        profiler.start()
-    try:
-        return ci_gate.main(argv)
-    finally:
-        if profiler is not None:
-            samples = profiler.stop().dump(args.profile)
-            print(f"profile: {samples} samples -> {args.profile}")
-
-
 _COMMANDS = {
     "datasets": _cmd_datasets,
     "query": _cmd_query,
@@ -1077,7 +1039,6 @@ _COMMANDS = {
     "trace": _cmd_trace,
     "top": _cmd_top,
     "obs": _cmd_obs,
-    "bench": _cmd_bench,
 }
 
 

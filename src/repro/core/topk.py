@@ -303,8 +303,8 @@ class BatchTopKSolver:
     is the measured ``walk_steps`` win over the full-budget path.
 
     ``early_stop=False`` disables the stopping rule (every query runs
-    to ``max_forests``) — the matched-accuracy comparator the CI gate
-    benchmarks against.
+    to ``max_forests``) — the matched-accuracy comparator the tier-1
+    walk-step floor (``tests/test_work_budgets.py``) measures against.
     """
 
     def __init__(self, graph: Graph, *, config: PPRConfig | None = None,

@@ -1,7 +1,7 @@
 r"""Opt-in sampling profiler dumping collapsed stacks for flamegraphs.
 
-``--profile`` on ``repro serve`` and ``repro bench`` turns this on; it
-is never active otherwise, so the serving hot path pays nothing.
+``--profile`` on ``repro serve`` turns this on; it is never active
+otherwise, so the serving hot path pays nothing.
 
 The sampler is thread-based rather than signal-based: a daemon thread
 wakes every ``interval`` seconds and snapshots every live thread's

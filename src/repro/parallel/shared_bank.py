@@ -358,20 +358,52 @@ def save_array_bank(path: str | os.PathLike, arrays: dict[str, np.ndarray],
 
 
 def bank_manifest(path: str | os.PathLike) -> dict:
-    """Read and validate a bank directory's manifest (no array I/O)."""
+    """Read and validate a bank directory's manifest (no array I/O).
+
+    A damaged manifest — unreadable, not JSON, not an object, a
+    non-integer ``version``, a malformed ``arrays`` table — raises one
+    :class:`~repro.exceptions.ConfigError` naming the file.
+    """
     manifest_path = os.path.join(os.fspath(path), _MANIFEST)
     if not os.path.exists(manifest_path):
         raise ConfigError(f"{os.fspath(path)!r} is not an array-bank "
                           f"directory (no {_MANIFEST})")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "repro-array-bank":
-        raise ConfigError(f"{manifest_path!r} is not an array-bank manifest")
-    if int(manifest.get("version", 0)) > BANK_FORMAT_VERSION:
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as error:
         raise ConfigError(
-            f"bank format version {manifest.get('version')} is newer than "
-            f"this library supports ({BANK_FORMAT_VERSION})")
+            f"cannot read bank manifest {manifest_path!r}: {error}") from error
+    if (not isinstance(manifest, dict)
+            or manifest.get("format") != "repro-array-bank"):
+        raise ConfigError(f"{manifest_path!r} is not an array-bank manifest")
+    version = manifest.get("version", 0)
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise ConfigError(f"{manifest_path!r} has a non-integer format "
+                          f"version {version!r}")
+    if version > BANK_FORMAT_VERSION:
+        raise ConfigError(
+            f"{manifest_path!r}: bank format version {version} is newer "
+            f"than this library supports ({BANK_FORMAT_VERSION})")
+    arrays = manifest.get("arrays")
+    if (not isinstance(arrays, dict)
+            or not isinstance(manifest.get("meta", {}), dict)
+            or not all(_valid_entry(name, spec)
+                       for name, spec in arrays.items())):
+        raise ConfigError(
+            f"{manifest_path!r} has a malformed arrays or meta table")
     return manifest
+
+
+def _valid_entry(name: str, spec) -> bool:
+    """Whether an ``arrays`` entry is a safe member name with a
+    shape/dtype/nbytes record."""
+    return (not ("/" in name or name.startswith("."))
+            and isinstance(spec, dict)
+            and isinstance(spec.get("shape"), list)
+            and all(isinstance(dim, int) for dim in spec["shape"])
+            and isinstance(spec.get("dtype"), str)
+            and isinstance(spec.get("nbytes"), int))
 
 
 def load_array_bank(path: str | os.PathLike, *, mmap: bool = True,
@@ -386,10 +418,15 @@ def load_array_bank(path: str | os.PathLike, *, mmap: bool = True,
     arrays: dict[str, np.ndarray] = {}
     for name, spec in manifest["arrays"].items():
         member = os.path.join(path, f"{name}.npy")
-        array = np.load(member, mmap_mode="r" if mmap else None)
-        if (list(array.shape) != spec["shape"]
-                or str(array.dtype) != spec["dtype"]):
+        try:
+            array = np.load(member, mmap_mode="r" if mmap else None)
+        except (OSError, ValueError, EOFError) as error:
             raise ConfigError(
-                f"bank member {name!r} does not match its manifest entry")
+                f"cannot read bank member {member!r}: {error}") from error
+        if (not isinstance(array, np.ndarray)
+                or list(array.shape) != spec["shape"]
+                or str(array.dtype) != spec["dtype"]):
+            raise ConfigError(f"bank member {member!r} does not match "
+                              f"its manifest entry")
         arrays[name] = array
     return arrays, dict(manifest.get("meta", {}))

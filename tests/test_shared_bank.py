@@ -8,6 +8,7 @@ its validation errors.
 
 import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -164,3 +165,51 @@ class TestDiskFormat:
         with pytest.raises(ConfigError):
             save_array_bank(tmp_path / "bank",
                             {"../escape": np.zeros(1)})
+
+
+def _corrupt_not_json(bank):
+    (bank / "manifest.json").write_text("{not json")
+
+
+def _corrupt_not_object(bank):
+    (bank / "manifest.json").write_text("[1]")
+
+
+def _corrupt_version(bank):
+    manifest = json.loads((bank / "manifest.json").read_text())
+    manifest["version"] = "two"
+    (bank / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _corrupt_arrays_table(bank):
+    manifest = json.loads((bank / "manifest.json").read_text())
+    manifest["arrays"]["a"] = {"shape": "3x4"}
+    (bank / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _truncate_member(bank):
+    member = bank / "a.npy"
+    member.write_bytes(member.read_bytes()[:member.stat().st_size // 2])
+
+
+def _delete_member(bank):
+    (bank / "b.npy").unlink()
+
+
+class TestCorruptBank:
+    """Every damaged bank directory is one ConfigError naming its path."""
+
+    @pytest.mark.parametrize("corrupt", [
+        _corrupt_not_json, _corrupt_not_object, _corrupt_version,
+        _corrupt_arrays_table, _truncate_member, _delete_member],
+        ids=["manifest-not-json", "manifest-not-object",
+             "version-not-integer", "arrays-table-malformed",
+             "member-truncated", "member-missing"])
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    def test_load_raises_config_error(self, arrays, tmp_path, corrupt,
+                                      mmap):
+        bank = tmp_path / "bank"
+        save_array_bank(bank, arrays)
+        corrupt(bank)
+        with pytest.raises(ConfigError, match=re.escape(str(bank))):
+            load_array_bank(bank, mmap=mmap)
