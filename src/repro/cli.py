@@ -556,7 +556,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     ``--dry-run`` prints the resolved :class:`ServiceConfig` and exits
     without loading the graph — the golden-output tests pin this
-    transcript so the flag plumbing stays byte-stable.
+    transcript so the flag plumbing stays byte-stable.  With
+    ``--bank-dir`` it first opens the bank as boot would (manifest,
+    then every member's shape and dtype), so a damaged bank fails the
+    dry run with the same ``error:`` as the real boot.
     """
     from repro.service import PPRService, ServiceConfig
     from repro.service.http import make_server, serve_forever
@@ -583,6 +586,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slo_burn_threshold=args.slo_burn_threshold)
     print(config.describe())
     if args.dry_run:
+        if args.bank_dir is not None:
+            from repro.parallel.shared_bank import load_array_bank
+
+            load_array_bank(args.bank_dir)
         print("dry run: config ok, not starting the server")
         return 0
 

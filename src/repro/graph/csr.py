@@ -226,19 +226,42 @@ class Graph:
         return self.transition_matrix.T.tocsr()
 
     def reverse(self) -> "Graph":
-        """Graph with every arc reversed.
+        """Graph with every arc reversed (cached).
 
         For undirected graphs this returns ``self`` (both orientations
-        are already stored).  For directed graphs a new CSR structure
-        over the reversed arcs is built.
+        are already stored).  For directed graphs the CSR structure
+        over the reversed arcs is built once and the same instance is
+        returned on every later call.
         """
         if not self.directed:
             return self
+        return self._reversed
+
+    @cached_property
+    def _reversed(self) -> "Graph":
         adjacency = self.to_scipy_adjacency().T.tocsr()
         weights = None if self.weights is None else adjacency.data.copy()
         return Graph(adjacency.indptr.astype(np.int64),
                      adjacency.indices.astype(np.int64),
                      weights, directed=True, validate=False)
+
+    @cached_property
+    def arc_rows(self) -> np.ndarray:
+        """Row (tail node) of every stored arc, parallel to ``indices``."""
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64),
+                         self.out_degrees)
+
+    @cached_property
+    def in_arc_degrees(self) -> np.ndarray:
+        """Receiver degree ``d_z`` of every in-arc ``z → u`` (cached).
+
+        Parallel to ``reverse().indices``: entry ``i`` is the weighted
+        out-degree of the in-neighbour ``reverse().indices[i]``, the
+        divisor of backward push.  A zero degree is stored as ``inf``
+        so that dividing by it yields ``0.0``.
+        """
+        receiver_deg = self.degrees[self.reverse().indices]
+        return np.where(receiver_deg > 0, receiver_deg, np.inf)
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -249,8 +272,7 @@ class Graph:
 
     def edges(self) -> np.ndarray:
         """All stored arcs as an ``(num_arcs, 2)`` array of ``(u, v)``."""
-        sources = np.repeat(np.arange(self.num_nodes), self.out_degrees)
-        return np.column_stack((sources, self.indices))
+        return np.column_stack((self.arc_rows, self.indices))
 
     @cached_property
     def connected_components(self) -> np.ndarray:

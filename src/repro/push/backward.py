@@ -12,8 +12,15 @@ forward push.  The uniform threshold ``r(u) ≥ r_max`` yields the
 classic additive guarantee ``|π(v,t) − q(v)| ≤ r_max`` for all ``v``.
 
 :func:`backward_push` runs as synchronous frontier sweeps over the
-reverse CSR through :func:`repro.push.kernels.backward_scatter`, which
-batches the whole frontier into one segment-scatter.
+reverse CSR (built once per directed graph and cached by
+:meth:`Graph.reverse <repro.graph.csr.Graph.reverse>`) through
+:func:`repro.push.kernels.backward_scatter`, which batches the whole
+frontier into one segment-scatter.  A sparse frontier gathers its own
+in-arcs; a frontier covering a large share of all in-arcs (typical at
+small α from a hub target) scatters over every arc with zero
+increments off the frontier.  The two strategies add the same terms
+in the same order, so the driver's outputs — reserve, residual, push
+and sweep counts — do not depend on which one a sweep took.
 
 :func:`randomized_backward_push` implements the RBACK baseline
 (Wang et al., KDD'20): residual increments below a threshold ``θ`` are
@@ -48,17 +55,6 @@ def _check(graph: Graph, target: int, alpha: float, r_max: float) -> None:
         raise ConfigError(f"r_max must be positive, got {r_max}")
 
 
-def _in_edges(graph: Graph):
-    """CSR of in-edges with the weight/degree data backward push needs.
-
-    For node ``u`` the slice gives its in-neighbours ``z``, the edge
-    weights ``w_zu``, and we pair them with the *receivers'* degrees
-    ``d_z``.  Undirected graphs reuse the forward CSR directly.
-    """
-    reverse = graph.reverse()
-    return reverse.indptr, reverse.indices, reverse.weights
-
-
 def backward_push(graph: Graph, target: int, alpha: float, r_max: float,
                   max_pushes: int = 50_000_000) -> PushResult:
     """Algorithm 4: deterministic backward push from ``target``.
@@ -68,7 +64,6 @@ def backward_push(graph: Graph, target: int, alpha: float, r_max: float,
     """
     _check(graph, target, alpha, r_max)
     n = graph.num_nodes
-    indptr, indices, weights = _in_edges(graph)
     degrees = graph.degrees
     reserve = np.zeros(n)
     residual = np.zeros(n)
@@ -93,8 +88,7 @@ def backward_push(graph: Graph, target: int, alpha: float, r_max: float,
         reserve[frontier] += np.where(dangling, mass, alpha * mass)
         spread = np.where(dangling, (1.0 - alpha) / alpha * mass,
                           (1.0 - alpha) * mass)
-        work += backward_scatter(indptr, indices, weights, degrees,
-                                 frontier, spread, residual)
+        work += backward_scatter(graph, frontier, spread, residual)
     return PushResult(reserve=reserve, residual=residual,
                       num_pushes=pushes, work=work,
                       num_sweeps=len(frontier_sizes),
@@ -123,7 +117,9 @@ def randomized_backward_push(graph: Graph, target: int, alpha: float,
         raise ConfigError("theta must be positive")
     generator = ensure_rng(rng)
     n = graph.num_nodes
-    indptr, indices, weights = _in_edges(graph)
+    reverse = graph.reverse()
+    indptr, indices, weights = reverse.indptr, reverse.indices, reverse.weights
+    in_arc_degrees = graph.in_arc_degrees
     degrees = graph.degrees
     reserve = np.zeros(n)
     residual = np.zeros(n)
@@ -155,10 +151,7 @@ def randomized_backward_push(graph: Graph, target: int, alpha: float,
         sources = indices[lo:hi]
         if sources.size:
             edge_w = np.ones(hi - lo) if weights is None else weights[lo:hi]
-            receiver_deg = degrees[sources]
-            increments = np.zeros(hi - lo)
-            ok = receiver_deg > 0
-            increments[ok] = spread * edge_w[ok] / receiver_deg[ok]
+            increments = spread * edge_w / in_arc_degrees[lo:hi]
             small = increments < theta
             if small.any():
                 survive = generator.random(int(small.sum())) < (

@@ -7,7 +7,11 @@ and scatters the remaining ``(1-α)`` mass to the frontier's neighbours
 over the shared CSR arrays.  The per-sweep scatter — the hot inner
 loop — lives here: one ``np.add.at`` segment-scatter over the
 concatenated CSR rows of all frontier nodes (PowerWalk-style
-vertex-centric batching).
+vertex-centric batching).  :func:`backward_scatter` switches to a
+dense strategy when the frontier covers a large share of the in-arcs
+(small α, hub targets): it scatters over *all* arcs with zero
+increments off the frontier, which skips rebuilding the frontier's
+edge list and adds exactly the same terms in the same order.
 
 The node-at-a-time loop these kernels replaced lives on in
 ``tests/push_oracle.py``; the equivalence suite swaps it in under the
@@ -69,28 +73,52 @@ def forward_scatter(graph: Graph, frontier: np.ndarray, mass: np.ndarray,
     return int(counts.sum())
 
 
-def backward_scatter(indptr: np.ndarray, indices: np.ndarray,
-                     weights: np.ndarray | None, degrees: np.ndarray,
-                     frontier: np.ndarray, spread: np.ndarray,
+#: Frontier share of all in-arcs from which :func:`backward_scatter`
+#: takes every arc instead of gathering the frontier's rows.
+#: ``bench_backward_scatter_crossover`` (youtube stand-in, 12,000 nodes,
+#: 63,912 arcs, 2 vCPU): a dense sweep costs ~0.3–0.5 ms whatever the
+#: frontier, and it breaks even with the gather path at a share of
+#: about 0.35 (0.9–1.1×); it takes ~0.75× the gather time at 0.5 and
+#: ~0.4× at 1.0, and 1.2–1.5× at 0.25.
+DENSE_SHARE = 0.35
+
+
+def backward_scatter(graph: Graph, frontier: np.ndarray, spread: np.ndarray,
                      residual: np.ndarray) -> int:
     """Scatter backward-push mass to the frontier's in-neighbours.
 
-    ``indptr``/``indices``/``weights`` describe the *reverse* CSR (the
-    in-edges of each frontier node) while ``degrees`` are the forward
-    weighted out-degrees: in-neighbour ``z`` of ``u`` receives
-    ``spread(u)·w_zu/d_z`` — the division is by the *receiver's*
-    degree, the transpose of forward push.  ``spread`` is the driver's
-    per-node outgoing mass (``(1-α)·r(u)``, or the dangling closed
-    form).  Returns the number of edge traversals.
+    ``graph`` is the forward graph; the in-arcs come from its cached
+    :meth:`~repro.graph.csr.Graph.reverse`.  In-neighbour ``z`` of
+    ``u`` receives ``spread(u)·w_zu/d_z`` — the division is by the
+    *receiver's* forward degree, the transpose of forward push.
+    ``spread`` is the driver's per-node outgoing mass (``(1-α)·r(u)``,
+    or the dangling closed form).  Returns the number of edge
+    traversals.
+
+    Two strategies, chosen per sweep, give bit-identical residuals.  A
+    sparse frontier gathers its rows' arcs (``frontier_edges``).  A
+    frontier whose rows hold at least :data:`DENSE_SHARE` of all
+    in-arcs instead takes *every* arc, spreading from a per-node
+    vector that is zero off the frontier.  Both add with one
+    ``np.add.at`` in ascending-``u`` CSR order, each nonzero term is
+    the same ``(spread·w)/d_z``, and an off-frontier arc adds ``+0.0``,
+    which leaves a non-negative residual unchanged.
     """
+    reverse = graph.reverse()
+    indptr, weights = reverse.indptr, reverse.weights
     counts = indptr[frontier + 1] - indptr[frontier]
-    edges = frontier_edges(indptr, frontier, counts)
-    sources = indices[edges]
-    edge_w = np.ones(sources.size) if weights is None else weights[edges]
-    receiver_deg = degrees[sources]
-    increments = np.zeros(sources.size)
-    ok = receiver_deg > 0
-    increments[ok] = (np.repeat(spread, counts)[ok] * edge_w[ok]
-                      / receiver_deg[ok])
-    np.add.at(residual, sources, increments)
-    return int(counts.sum())
+    total = int(counts.sum())
+    if total >= DENSE_SHARE * reverse.num_arcs:
+        arcs = slice(None)
+        node_spread = np.zeros(graph.num_nodes)
+        node_spread[frontier] = spread
+        increments = node_spread[reverse.arc_rows]
+    else:
+        arcs = frontier_edges(indptr, frontier, counts)
+        increments = np.repeat(spread, counts)
+    if weights is not None:
+        increments *= weights[arcs]
+    # a zero receiver degree is stored as inf, so it receives 0.0
+    increments /= graph.in_arc_degrees[arcs]
+    np.add.at(residual, reverse.indices[arcs], increments)
+    return total

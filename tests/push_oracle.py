@@ -32,8 +32,10 @@ def forward_scatter(graph, frontier, mass, alpha, residual):
     return work
 
 
-def backward_scatter(indptr, indices, weights, degrees, frontier, spread,
-                     residual):
+def backward_scatter(graph, frontier, spread, residual):
+    reverse = graph.reverse()
+    indptr, indices, weights = reverse.indptr, reverse.indices, reverse.weights
+    degrees = graph.degrees
     work = 0
     for i in range(frontier.size):
         u = int(frontier[i])

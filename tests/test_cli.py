@@ -370,6 +370,25 @@ class TestCommands:
                      "--bank-dir", bank, "--dry-run"]) == 0
         assert bank in capsys.readouterr().out
 
+    @pytest.mark.parametrize("damage", ["manifest", "member"])
+    def test_serve_bank_dir_dry_run_rejects_damaged_bank(self, capsys,
+                                                         tmp_path, damage):
+        bank = tmp_path / "bank"
+        assert main(["index", "build", "youtube", str(bank), "--scale",
+                     "0.05", "--num-forests", "3", "--seed", "11"]) == 0
+        capsys.readouterr()
+        if damage == "manifest":
+            (bank / "manifest.json").write_text("[1]")
+        else:
+            member = sorted(bank.glob("*.npy"))[0]
+            member.write_bytes(member.read_bytes()[:member.stat().st_size
+                                                   // 2])
+        assert main(["serve", "--graph", "youtube", "--scale", "0.05",
+                     "--bank-dir", str(bank), "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "dry run: config ok" not in captured.out
+
     def test_serve_bank_dir_rejects_dynamic(self, capsys):
         assert main(["serve", "--bank-dir", "somewhere", "--dynamic",
                      "--dry-run"]) == 2

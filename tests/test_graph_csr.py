@@ -183,6 +183,19 @@ class TestStructure:
         twice = directed_line.reverse().reverse()
         assert twice == directed_line
 
+    def test_reverse_directed_is_cached(self, directed_line):
+        assert directed_line.reverse() is directed_line.reverse()
+
+    def test_arc_rows(self, directed_line, k5):
+        for graph in (directed_line, k5):
+            assert np.array_equal(graph.arc_rows, graph.edges()[:, 0])
+
+    def test_in_arc_degrees(self, directed_line):
+        # in-arcs 0 -> 1 and 1 -> 2: receivers 0 and 1, each degree 1
+        reverse = directed_line.reverse()
+        assert np.array_equal(reverse.indices, [0, 1])
+        assert np.array_equal(directed_line.in_arc_degrees, [1.0, 1.0])
+
 
 class TestDunder:
     def test_equality(self, k5):

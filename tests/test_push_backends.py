@@ -7,6 +7,11 @@ scatter differs, and every output — reserve, residual, ``num_pushes``,
 ``num_sweeps``, ``frontier_sizes`` — must agree (values to ≤1e-12;
 counters exactly) across alphas, weighted/directed graphs, and
 end-to-end queries.
+
+``TestScatterStrategies`` pins the two strategies of
+``backward_scatter`` against each other: forced onto the gather path
+and then onto the dense path, a backward push must give the same
+bytes.
 """
 
 import numpy as np
@@ -14,11 +19,13 @@ import pytest
 
 from repro.core import PPRConfig, single_source, single_target
 from repro.graph import from_edges
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.push import (
     backward_push,
     balanced_forward_push,
     forward_push,
+    kernels,
     power_push,
 )
 from repro.service import ServiceConfig
@@ -97,6 +104,61 @@ class TestKernelEquivalence:
         # pushed, identically by the kernel and the oracle
         for alpha in ALPHAS:
             _assert_equivalent(forward_push, directed_line, 0, alpha, 1e-6)
+
+
+def _backward_with_share(monkeypatch, share, graph, target, alpha):
+    monkeypatch.setattr(kernels, "DENSE_SHARE", share)
+    return backward_push(graph, target, alpha, 1e-4)
+
+
+class TestScatterStrategies:
+    """Gather (cut-over ∞) and dense (cut-over 0) agree bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.01] + ALPHAS)
+    @pytest.mark.parametrize("label,graph", GRAPHS)
+    def test_backward_strategies_identical(self, monkeypatch, label, graph,
+                                           alpha):
+        for target in (2, 29):
+            gather = _backward_with_share(monkeypatch, np.inf, graph,
+                                          target, alpha)
+            dense = _backward_with_share(monkeypatch, 0.0, graph, target,
+                                         alpha)
+            assert np.array_equal(gather.reserve, dense.reserve)
+            assert np.array_equal(gather.residual, dense.residual)
+            assert gather.num_pushes == dense.num_pushes
+            assert gather.num_sweeps == dense.num_sweeps
+            assert gather.frontier_sizes == dense.frontier_sizes
+            assert gather.work == dense.work
+
+    def test_directed_reverse_reuse_is_byte_stable(self):
+        # pushes on the shared graph reuse its cached reverse CSR; a
+        # fresh copy of the graph builds its own
+        graph = GRAPHS[2][1]
+        copy = from_edges(graph.edges(), directed=True,
+                          num_nodes=graph.num_nodes)
+        runs = [backward_push(g, 2, 0.1, 1e-4) for g in (graph, graph, copy)]
+        for run in runs[1:]:
+            assert run.reserve.tobytes() == runs[0].reserve.tobytes()
+            assert run.residual.tobytes() == runs[0].residual.tobytes()
+
+    def test_hub_target_takes_dense_branch(self, monkeypatch):
+        # the index_offline set-up: youtube stand-in, α = 0.01, a hub
+        # target at the target solver's r_max.  Only a gathering sweep
+        # builds the frontier's edge list, so the sweeps that do not
+        # call frontier_edges went dense.
+        graph = load_dataset("youtube", scale=1.0)
+        hub = int(np.argmax(graph.out_degrees))
+        gathered = []
+        frontier_edges = kernels.frontier_edges
+
+        def spy(indptr, frontier, counts):
+            gathered.append(frontier.size)
+            return frontier_edges(indptr, frontier, counts)
+
+        monkeypatch.setattr(kernels, "frontier_edges", spy)
+        push = backward_push(graph, hub, 0.01, 1.67e-4)
+        assert gathered  # sweep 1 holds one node: it gathers
+        assert len(gathered) < push.num_sweeps
 
 
 class TestEndToEnd:
