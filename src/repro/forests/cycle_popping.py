@@ -17,8 +17,11 @@ That order-independence is what we exploit to vectorise:
 2. find all "bad" cycles — cycles of the arrow map not fixed at a root
    — with pointer doubling (cycles of a functional graph are
    vertex-disjoint, so popping them simultaneously is a valid popping
-   order);
-3. redraw arrows only for the popped nodes; repeat.
+   order).  Only nodes not yet known to reach a root take part, on a
+   compact array indexed by their position in that trapped set, so
+   each doubling step is one gather over the trapped nodes alone;
+3. redraw arrows only for the popped nodes, found with a boolean mask
+   over the trapped set rather than a sort; repeat.
 
 Each arrow draw corresponds to one walk step of Algorithm 1, so the
 total number of draws reproduces the τ statistic in distribution.
@@ -94,14 +97,21 @@ def pop_cycles(size: int, draw: ArrowSource,
     Resolution is incremental: once a node's arrow chain reaches a
     root it can never be disturbed (popped nodes all lie on bad
     cycles, and chains of settled nodes avoid those by definition), so
-    each popping round re-resolves only the still-trapped set.  The
-    ``short`` map sends settled nodes straight to their root, keeping
-    the pointer-doubling depth at ``O(log |trapped|)``.
+    each round re-resolves only the still-trapped set ``T``.  It does
+    so on a compact local array: ``hop[i]`` is the local position of
+    ``T[i]``'s arrow target, and a node whose arrow is a stop or leaves
+    ``T`` (into a settled node) is a fixed point carrying that root.
+    Pointer doubling (``hop = hop[hop]``, one gather per step over
+    ``|T|`` entries) then lands every chain either on such a fixed
+    point — the node settles — or on its bad cycle, which the doubled
+    map permutes, so the landing points are exactly the cycle nodes.
+    They are marked in a boolean mask over ``T`` (sorted because ``T``
+    is) and redrawn next round.
     """
-    next_node = np.empty(size, dtype=np.int64)
+    parents = np.empty(size, dtype=np.int64)   # each node's top arrow
     is_root = np.zeros(size, dtype=bool)
-    # short[u]: u's root once settled (a fixed point), else its arrow
-    short = np.empty(size, dtype=np.int64)
+    roots = np.full(size, -1, dtype=np.int64)  # -1 until settled
+    local = np.empty(size, dtype=np.int64)     # position in `trapped`
     active = np.arange(size)    # nodes whose arrows must be (re)drawn
     trapped = active            # nodes not yet proven to reach a root
     steps = 0
@@ -111,30 +121,39 @@ def pop_cycles(size: int, draw: ArrowSource,
         steps += active.size
         targets, stops = draw(active)
         is_root[active] = stops
-        next_node[active] = targets
-        short[trapped] = next_node[trapped]
+        parents[active] = targets
 
-        # (2) resolve the trapped chains by pointer doubling restricted
-        # to the trapped set (their chains stay inside it until they
-        # hit a settled node, which `short` maps to its root directly)
-        doubling = int(np.ceil(np.log2(trapped.size + 2))) + 1
-        jump = short.copy()
-        for _ in range(doubling):
-            jump[trapped] = jump[jump[trapped]]
-        resolved = jump[trapped]
-        done = is_root[resolved]
-        short[trapped[done]] = resolved[done]
+        # (2) resolve the trapped chains on a compact local map: an
+        # arrow into a settled node (roots >= 0) or a stop is a fixed
+        # point carrying the root it reaches
+        count = trapped.size
+        positions = np.arange(count)
+        local[trapped] = positions
+        heads = parents[trapped]
+        carry = roots[heads]
+        trapped_roots = is_root[trapped]
+        carry[trapped_roots] = trapped[trapped_roots]
+        exits = carry >= 0
+        hop = local[heads]
+        hop[exits] = positions[exits]
+        # 2**doublings > count bounds every chain and every cycle tail
+        for _ in range(count.bit_length()):
+            hop = hop[hop]
+        done = exits[hop]
+        settled = trapped[done]
+        roots[settled] = carry[hop[done]]
 
-        still = trapped[~done]
-        if still.size == 0:
-            parents = next_node
+        still = ~done
+        if not still.any():
             parents[is_root] = -1
-            return short, parents, steps  # short now maps to roots
+            return roots, parents, steps
 
-        # (3) pop: nodes lying on bad cycles are exactly the resolved
-        # targets of trapped chains (f^T is a bijection on each cycle)
-        active = np.unique(resolved[~done])
-        trapped = still
+        # (3) pop: the landing points of unsettled chains are exactly
+        # the nodes on bad cycles (the doubled map permutes each cycle)
+        popped = np.zeros(count, dtype=bool)
+        popped[hop[still]] = True
+        active = trapped[popped]
+        trapped = trapped[still]
 
     raise ConvergenceError(
         f"cycle popping did not terminate within {max_rounds} rounds",

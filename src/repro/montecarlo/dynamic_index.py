@@ -123,7 +123,8 @@ class DynamicForestIndex(ForestIndex):
     # Mutation
     # ------------------------------------------------------------------
     def mutated(self, delta: GraphDelta,
-                rng: np.random.Generator | int | None = None,
+                rng: np.random.Generator | int | None = None, *,
+                graph: Graph | None = None,
                 ) -> tuple["DynamicForestIndex", WorkCounters]:
         """Apply ``delta`` and repair every forest against the result.
 
@@ -133,8 +134,13 @@ class DynamicForestIndex(ForestIndex):
         work actually paid — alongside the replayed-read and
         dirty-node tallies; compare against a fresh build's
         ``walk_steps`` for the repair-vs-rebuild bound.
+
+        ``graph`` is ``delta.apply(self.graph)`` when the caller has
+        already computed it; the new index then shares that object
+        (and its cached alias table, reverse graph and degrees)
+        instead of applying the delta a second time.
         """
-        new_graph = delta.apply(self.graph)
+        new_graph = delta.apply(self.graph) if graph is None else graph
         dirty = delta.touched_nodes()
         counters = WorkCounters()
         generator = ensure_rng(rng)

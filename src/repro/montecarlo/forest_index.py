@@ -103,6 +103,72 @@ def node_ordering(graph: Graph, kind: str) -> np.ndarray | None:
         f"node order must be one of {NODE_ORDERS}, got {kind!r}")
 
 
+def _csr(shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
+         data: np.ndarray):
+    """A CSR matrix over the given arrays, without copying them.
+
+    The ``csr_matrix`` constructor would copy the arrays (and downcast
+    the index dtype); an empty matrix with its arrays assigned keeps
+    them as they are, which both the shared-memory / memmap attach and
+    the operator build rely on.
+    """
+    import scipy.sparse as sparse
+
+    matrix = sparse.csr_matrix(shape)
+    matrix.indptr = indptr
+    matrix.indices = indices
+    matrix.data = data
+    return matrix
+
+
+def _private_arrays(layout: list[tuple[int, np.dtype | type]]
+                    ) -> list[np.ndarray]:
+    """Empty 1-D arrays, one per ``(size, dtype)`` of ``layout``,
+    carved in order out of one private anonymous memory mapping.
+
+    A bank generation's fold operators live exactly as long as the
+    generation, and the thread that publishes it builds them.  In that
+    thread's malloc heap they would sit among its short-lived
+    allocations (forest repair, request folds), and every retired
+    generation would leave holes the heap keeps resident.  A mapping
+    goes back to the system whole once the last array over it is
+    dropped.
+    """
+    import mmap
+
+    offsets, total = [], 0
+    for size, dtype in layout:
+        offsets.append(total)
+        total += -(-size * np.dtype(dtype).itemsize // 64) * 64
+    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") \
+        else {}
+    pages = mmap.mmap(-1, max(total, 1), **flags)
+    return [np.frombuffer(pages, dtype=dtype, count=size, offset=offset)
+            for (size, dtype), offset in zip(layout, offsets)]
+
+
+def _private_copies(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Copies of 1-D ``arrays`` in one private mapping (see
+    :func:`_private_arrays`)."""
+    copies = _private_arrays([(array.size, array.dtype)
+                              for array in arrays])
+    for copy, array in zip(copies, arrays):
+        copy[:] = array
+    return copies
+
+
+def _transposed(matrix):
+    """The CSR transpose of a CSR matrix, by counting sort.
+
+    Row ``j`` of the result lists the rows ``i`` holding column ``j``
+    in ascending order, whatever the order of the input rows' columns,
+    so the result has sorted indices and needs no sort pass.
+    """
+    columns = matrix.tocsc()
+    return _csr(matrix.shape[::-1], columns.indptr, columns.indices,
+                columns.data)
+
+
 def degree_checksum(graph: Graph) -> int:
     """CRC-32 of the graph's weighted degree vector.
 
@@ -141,6 +207,14 @@ class _BankOperators:
     nonzero order fixes every segment sum's float accumulation — never
     moves, and each ``Q`` row is gathered verbatim, so unpermuting the
     fold output reproduces the identity layout's answers bit-for-bit.
+
+    **Build.**  The operators are written in CSR form directly: a
+    forest's segments come from its root mask and a cumsum (no sort),
+    the node-major ``Q`` rows hold exactly one entry per forest (a
+    regular ``indptr``), ``tree_sum`` is the counting-sort transpose
+    of that pattern and ``gather_root`` the transpose of
+    ``scatter_root @ tree_sum``.  Every array is byte-equal to the
+    COO-built operators of ``tests/bank_operators_oracle.py``.
     """
 
     #: Identity-layout defaults, as class attributes so every
@@ -150,66 +224,93 @@ class _BankOperators:
     _row_of: np.ndarray | None = None
 
     def __init__(self, forests: list[RootedForest], degrees: np.ndarray):
-        import scipy.sparse as sparse
-
         num_nodes = degrees.size
+        num_forests = len(forests)
+        nnz = num_forests * num_nodes
+        index_dtype = (np.int32 if nnz <= np.iinfo(np.int32).max
+                       else np.int64)
+        # the arrays of known size are written in place, into the
+        # generation's own pages (see _private_arrays)
+        columns, source_data, target_data, tree_data, tree_indices, \
+            q_indptr = _private_arrays(
+                [(nnz, index_dtype), (nnz, np.float64), (nnz, np.float64),
+                 (nnz, np.float64), (nnz, index_dtype),
+                 (num_nodes + 1, index_dtype)])
+        # node-major Q pattern: row v holds one segment per forest, in
+        # forest order, so its columns ascend and its indptr is regular
+        q_indptr[:] = np.arange(0, nnz + 1, num_forests)
+        by_node = (num_nodes, num_forests)
         node_ids = np.arange(num_nodes)
-        seg_cols = []      # global segment id per (forest, node)
         seg_roots = []     # root node of each global segment
         seg_degree = []    # safe degree mass of each global segment
-        root_cols = []     # roots[v] per (forest, node), for basic target
+        rank = np.empty(num_nodes, dtype=np.int64)
         offset = 0
-        for forest in forests:
+        for column, forest in enumerate(forests):
             labels = forest.roots
-            order = np.argsort(labels, kind="stable")
-            sorted_labels = labels[order]
-            boundaries = np.empty(num_nodes, dtype=bool)
-            boundaries[0] = True
-            np.not_equal(sorted_labels[1:], sorted_labels[:-1],
-                         out=boundaries[1:])
-            starts = np.flatnonzero(boundaries)
-            root_ids = sorted_labels[starts]
-            seg_of = np.empty(num_nodes, dtype=np.int64)
-            seg_of[order] = np.repeat(
-                np.arange(root_ids.size),
-                np.diff(np.append(starts, num_nodes)))
+            is_root = labels == node_ids
+            # a forest's segments are its trees in root-id order: a
+            # root's segment is its rank among the roots
+            np.cumsum(is_root, out=rank)
+            seg_of = rank[labels]
+            seg_of -= 1
+            root_ids = np.flatnonzero(is_root)
             tree_degree = forest.component_degree_mass(degrees)[root_ids]
-            seg_cols.append(seg_of + offset)
-            seg_roots.append(root_ids)
             # a zero-mass tree is exactly a degree-0 singleton; guard the
             # division and let the estimators overwrite those nodes
-            seg_degree.append(np.where(tree_degree > 0, tree_degree, 1.0))
-            root_cols.append(labels)
+            safe_degree = np.where(tree_degree > 0, tree_degree, 1.0)
+            node_degree = safe_degree[seg_of]
+            np.divide(degrees, node_degree,
+                      out=source_data.reshape(by_node)[:, column])
+            np.divide(1.0, node_degree,
+                      out=target_data.reshape(by_node)[:, column])
+            seg_of += offset
+            columns.reshape(by_node)[:, column] = seg_of
+            seg_roots.append(root_ids)
+            seg_degree.append(safe_degree)
             offset += root_ids.size
 
-        cols = np.concatenate(seg_cols)
-        rows = np.tile(node_ids, len(forests))
-        self.num_forests = len(forests)
+        q_shape = (num_nodes, offset)
+        # P: per-tree residual sums.  Transposing the Q pattern lists
+        # each segment's members in node order; one-byte values keep
+        # the transpose's scratch small.
+        members = _transposed(_csr(q_shape, q_indptr, columns,
+                                   np.ones(nnz, dtype=bool)))
+        tree_indices[:] = members.indices
+        tree_data.fill(1.0)
+        segment_root = np.concatenate(seg_roots)
+        # each root's segments, in segment order (unit counts)
+        roots = _transposed(_csr(
+            (offset, num_nodes), np.arange(offset + 1, dtype=index_dtype),
+            segment_root.astype(index_dtype),
+            np.ones(offset, dtype=np.int32)))
+        # basic target needs no segment space: est[v] = Σ_f r(root_f(v)).
+        # Row r of roots @ members counts, per node, the forests whose
+        # tree at root r holds it; transposed, row v lists v's roots in
+        # ascending order with those counts.
+        counts = _transposed(roots @ members)
+        (tree_indptr, self.segment_root, self.segment_degree,
+         scatter_indptr, scatter_indices, scatter_data, gather_indptr,
+         gather_indices, gather_data) = _private_copies(
+            members.indptr, segment_root, np.concatenate(seg_degree),
+            roots.indptr, roots.indices, np.ones(offset), counts.indptr,
+            counts.indices, counts.data.astype(np.float64))
+        del members, roots, counts
+
+        self.num_forests = num_forests
         # whole-node-space operators: output rows ARE global node ids
         self.local_nodes = None
         self.degree_zero = np.flatnonzero(degrees == 0)
         self.degree_zero_nodes = self.degree_zero
-        segment_degree = np.concatenate(seg_degree)
-        self.segment_degree = segment_degree
-        self.segment_root = np.concatenate(seg_roots)
-        ones = np.ones(cols.size)
-        # P: per-tree residual sums (global segment space)
-        self.tree_sum = sparse.csr_matrix(
-            (ones, (cols, rows)), shape=(offset, num_nodes))
-        # Q variants: redistribute tree sums back to nodes
-        self.spread_source = sparse.csr_matrix(
-            (np.tile(degrees, len(forests)) / segment_degree[cols],
-             (rows, cols)), shape=(num_nodes, offset))
-        self.scatter_root = sparse.csr_matrix(
-            (np.ones(offset), (self.segment_root, np.arange(offset))),
-            shape=(num_nodes, offset))
-        self.spread_target = sparse.csr_matrix(
-            (1.0 / segment_degree[cols], (rows, cols)),
-            shape=(num_nodes, offset))
-        # basic target needs no segment space: est[v] = Σ_f r(root_f(v))
-        self.gather_root = sparse.csr_matrix(
-            (np.ones(rows.size), (rows, np.concatenate(root_cols))),
-            shape=(num_nodes, num_nodes))
+        self.tree_sum = _csr((offset, num_nodes), tree_indptr, tree_indices,
+                             tree_data)
+        # Q variants: redistribute tree sums back to nodes (one shared
+        # sparsity pattern)
+        self.spread_source = _csr(q_shape, q_indptr, columns, source_data)
+        self.spread_target = _csr(q_shape, q_indptr, columns, target_data)
+        self.scatter_root = _csr(q_shape, scatter_indptr, scatter_indices,
+                                 scatter_data)
+        self.gather_root = _csr((num_nodes, num_nodes), gather_indptr,
+                                gather_indices, gather_data)
 
     # ------------------------------------------------------------------
     # Cache-aware row relabeling (bank format v3)
@@ -304,15 +405,9 @@ class _BankOperators:
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], *,
                     num_nodes: int, num_forests: int) -> "_BankOperators":
-        """Rebuild operators over bank arrays without copying them.
-
-        An empty CSR matrix is created and its ``data`` / ``indices`` /
-        ``indptr`` attributes assigned directly — the ``csr_matrix``
-        constructor would copy the arrays (and downcast the index
-        dtype), defeating the shared-memory / memmap attach.
-        """
-        import scipy.sparse as sparse
-
+        """Rebuild operators over bank arrays without copying them
+        (see :func:`_csr`), so a shared-memory or memmap attach stays
+        zero-copy."""
         ops = object.__new__(cls)
         ops.num_forests = int(num_forests)
         ops.degree_zero = np.asarray(arrays["degree_zero"])
@@ -341,11 +436,10 @@ class _BankOperators:
             "gather_root": (num_rows, num_nodes),
         }
         for name in _OPERATOR_NAMES:
-            matrix = sparse.csr_matrix(shapes[name])
-            matrix.indptr = np.asarray(arrays[f"{name}_indptr"])
-            matrix.indices = np.asarray(arrays[f"{name}_indices"])
-            matrix.data = np.asarray(arrays[f"{name}_data"])
-            setattr(ops, name, matrix)
+            setattr(ops, name, _csr(
+                shapes[name], np.asarray(arrays[f"{name}_indptr"]),
+                np.asarray(arrays[f"{name}_indices"]),
+                np.asarray(arrays[f"{name}_data"])))
         return ops
 
     @classmethod
@@ -371,8 +465,6 @@ class _BankOperators:
         shard-restricted estimates are bit-identical to the matching
         rows of the full fold.
         """
-        import scipy.sparse as sparse
-
         if source.local_nodes is not None:
             raise ConfigError(
                 "cannot restrict an already-restricted operator set; "
@@ -407,13 +499,10 @@ class _BankOperators:
         for name, sliced in (("spread_source", spread_source),
                              ("scatter_root", scatter_root),
                              ("spread_target", spread_target)):
-            matrix = sparse.csr_matrix(
-                (sliced.shape[0], int(needed.size)))
-            matrix.indptr = sliced.indptr
-            matrix.indices = np.searchsorted(needed, sliced.indices) \
-                .astype(sliced.indices.dtype)
-            matrix.data = sliced.data
-            setattr(ops, name, matrix)
+            setattr(ops, name, _csr(
+                (sliced.shape[0], int(needed.size)), sliced.indptr,
+                np.searchsorted(needed, sliced.indices)
+                .astype(sliced.indices.dtype), sliced.data))
         dz = np.asarray(source.degree_zero_nodes)
         positions = np.searchsorted(local_nodes, dz)
         in_range = positions < local_nodes.size
@@ -857,6 +946,13 @@ class ForestIndex:
     # ------------------------------------------------------------------
     # Batched estimation (the serving layer's micro-batch fold)
     # ------------------------------------------------------------------
+    def prepare_fold(self) -> "ForestIndex":
+        """Build the fold operators now, if not yet cached; returns
+        ``self``.  A server calls this before it publishes a bank, so
+        no query pays for the build."""
+        self._operators  # noqa: B018 - builds and caches
+        return self
+
     @property
     def _operators(self) -> _BankOperators:
         """Whole-bank sparse fold operators (lazy, cached)."""

@@ -8,7 +8,8 @@ stage per query.  :class:`IndexManager` owns those banks:
 
 - **build / warm** — banks are built on first use (or eagerly via
   :meth:`warm`), fanned out over the parallel engine when
-  ``workers > 1``;
+  ``workers > 1``; every bank is published with its fold operators
+  already built, so no query pays for them;
 - **keying** — one bank per ``(graph, α)``; solvers are keyed
   ``(graph, α, ε, kind)`` and *borrow* the shared bank through the
   batch solvers' ``index=`` injection, so an ε change never resamples
@@ -244,16 +245,16 @@ class IndexManager:
                 raise ConfigError(
                     f"bank at {self.bank_dir!r} was built for "
                     f"alpha={index.alpha}, service wants alpha={alpha}")
-            with self._lock:
-                self._builds += 1
-            return _ManagedIndex(index, generation, seed)
-        if self.dynamic:
+        elif self.dynamic:
             # recorded sampling: repairable banks, cycle popping only
             index = DynamicForestIndex.build(graph, alpha, size, rng=seed)
         else:
             index = ForestIndex.build(graph, alpha, size, rng=seed,
                                       workers=self.config.workers,
                                       variance_mode=self.config.variance_mode)
+        # fold-ready before any caller can publish it (a no-op for an
+        # attached bank, whose arrays are the operators)
+        index.prepare_fold()
         with self._lock:
             self._builds += 1
         return _ManagedIndex(index, generation, seed)
@@ -340,11 +341,12 @@ class IndexManager:
         graph: :class:`DynamicForestIndex` banks are *repaired*
         incrementally (replaying their arrow records, fresh draws only
         where the mutation invalidated them), any other bank is fully
-        rebuilt.  Replacements are computed off-lock, then swapped in
-        atomically exactly like :meth:`refresh` — generations bump,
-        solvers borrowing old banks drop, shared-memory segments for
-        the graph and old banks retire once their last borrower
-        releases.  In-flight queries keep whatever they already hold.
+        rebuilt.  Replacements are computed off-lock, fold operators
+        included, then swapped in atomically exactly like
+        :meth:`refresh` — generations bump, solvers borrowing old banks
+        drop, shared-memory segments for the graph and old banks retire
+        once their last borrower releases.  In-flight queries keep
+        whatever they already hold.
 
         Returns a summary: per-bank generations and ``repaired`` flags,
         the dirty-node list, and the merged work counters (all
@@ -370,7 +372,8 @@ class IndexManager:
             seed = self._build_seed(name, alpha, generation)
             if isinstance(entry.index, DynamicForestIndex):
                 with span.child("repair"):
-                    index, repair_work = entry.index.mutated(delta, rng=seed)
+                    index, repair_work = entry.index.mutated(
+                        delta, rng=seed, graph=new_graph)
                 counters.merge(repair_work)
                 repaired_flags[key] = True
             else:
@@ -383,6 +386,8 @@ class IndexManager:
                         variance_mode=entry.index.variance_mode)
                 counters.merge(index.build_counters)
                 repaired_flags[key] = False
+            with span.child("operators"):
+                index.prepare_fold()
             replacements[key] = _ManagedIndex(index, generation, seed)
         with span.child("swap"):
             with self._lock:
@@ -483,10 +488,7 @@ class IndexManager:
             if not 0 <= shard < self.shards:
                 raise ConfigError(
                     f"shard {shard} out of range [0, {self.shards})")
-        index = self.get_index(name, alpha)
-        # materialise the fold operators outside the lock (first call
-        # builds them; they are cached on the index afterwards)
-        index._operators  # noqa: B018 - intentional cache warm
+        self.get_index(name, alpha)
         with self._lock:
             managed = self._indexes[(name, alpha)]
             # re-read under the lock: a refresh may have swapped the
@@ -497,7 +499,7 @@ class IndexManager:
                 if cached is not None and cached[1] == generation:
                     publish = cached[0]
                 else:
-                    # pure row slicing of the warmed operators — cheap
+                    # pure row slicing of the built operators — cheap
                     # enough to run under the lock, and doing so pins
                     # the restriction to this exact generation
                     shard_map = self.shard_map(name)

@@ -1,0 +1,72 @@
+"""COO-built reference for the whole-bank fold operators.
+
+:func:`coo_bank_operators` builds the five CSR operators of
+:class:`repro.montecarlo.forest_index._BankOperators` the direct way:
+per-forest ``argsort`` segments, COO triplets, and scipy's COO → CSR
+conversion (which sorts each row and sums duplicates).  The production
+build derives the same arrays with a root-mask cumsum, a regular
+node-major indptr and counting-sort transposes;
+``tests/test_bank_operators.py`` asserts the two agree byte for byte.
+"""
+
+import numpy as np
+import scipy.sparse as sparse
+
+from repro.montecarlo.forest_index import _BankOperators
+
+
+def coo_bank_operators(forests, degrees) -> _BankOperators:
+    num_nodes = degrees.size
+    node_ids = np.arange(num_nodes)
+    seg_cols = []      # global segment id per (forest, node)
+    seg_roots = []     # root node of each global segment
+    seg_degree = []    # safe degree mass of each global segment
+    root_cols = []     # roots[v] per (forest, node), for basic target
+    offset = 0
+    for forest in forests:
+        labels = forest.roots
+        order = np.argsort(labels, kind="stable")
+        sorted_labels = labels[order]
+        boundaries = np.empty(num_nodes, dtype=bool)
+        boundaries[0] = True
+        np.not_equal(sorted_labels[1:], sorted_labels[:-1],
+                     out=boundaries[1:])
+        starts = np.flatnonzero(boundaries)
+        root_ids = sorted_labels[starts]
+        seg_of = np.empty(num_nodes, dtype=np.int64)
+        seg_of[order] = np.repeat(
+            np.arange(root_ids.size),
+            np.diff(np.append(starts, num_nodes)))
+        tree_degree = forest.component_degree_mass(degrees)[root_ids]
+        seg_cols.append(seg_of + offset)
+        seg_roots.append(root_ids)
+        seg_degree.append(np.where(tree_degree > 0, tree_degree, 1.0))
+        root_cols.append(labels)
+        offset += root_ids.size
+
+    cols = np.concatenate(seg_cols)
+    rows = np.tile(node_ids, len(forests))
+    ops = object.__new__(_BankOperators)
+    ops.num_forests = len(forests)
+    ops.local_nodes = None
+    ops.degree_zero = np.flatnonzero(degrees == 0)
+    ops.degree_zero_nodes = ops.degree_zero
+    segment_degree = np.concatenate(seg_degree)
+    ops.segment_degree = segment_degree
+    ops.segment_root = np.concatenate(seg_roots)
+    ones = np.ones(cols.size)
+    ops.tree_sum = sparse.csr_matrix(
+        (ones, (cols, rows)), shape=(offset, num_nodes))
+    ops.spread_source = sparse.csr_matrix(
+        (np.tile(degrees, len(forests)) / segment_degree[cols],
+         (rows, cols)), shape=(num_nodes, offset))
+    ops.scatter_root = sparse.csr_matrix(
+        (np.ones(offset), (ops.segment_root, np.arange(offset))),
+        shape=(num_nodes, offset))
+    ops.spread_target = sparse.csr_matrix(
+        (1.0 / segment_degree[cols], (rows, cols)),
+        shape=(num_nodes, offset))
+    ops.gather_root = sparse.csr_matrix(
+        (np.ones(rows.size), (rows, np.concatenate(root_cols))),
+        shape=(num_nodes, num_nodes))
+    return ops

@@ -209,3 +209,67 @@ class TestGraphValidation:
                         {"kind": "something-else"})
         with pytest.raises(ConfigError, match="not a forest index"):
             ForestIndex.load_bank(tmp_path / "bank", graph)
+
+
+class TestCOOOracle:
+    """The direct CSR build against the COO-built oracle
+    (``tests/bank_operators_oracle.py``): every operator's ``indptr``,
+    ``indices`` and ``data`` byte-equal, dtypes and shapes included,
+    and so for every layout derived from them."""
+
+    @staticmethod
+    def _bank(kind):
+        from repro.graph.generators import with_random_weights
+
+        undirected = erdos_renyi(80, 0.06, rng=21)
+        if kind == "weighted":
+            weighted = with_random_weights(
+                erdos_renyi(60, 0.08, rng=22), low=0.5, high=4.0,
+                integer=False, rng=23)
+            return ForestIndex.build(weighted, 0.05, 5, rng=2)
+        if kind == "directed_sink":
+            # node 5 has no out-arcs (a sink), node 6 no arcs at all
+            directed = from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                                   (4, 5), (1, 5), (3, 1)],
+                                  directed=True, num_nodes=7)
+            return ForestIndex.build(directed, 0.2, 8, rng=3)
+        if kind == "one_forest":
+            return ForestIndex.build(undirected, 0.3, 1, rng=4)
+        return ForestIndex.build(undirected, 0.1, 6, rng=1,
+                                 variance_mode=kind)
+
+    @staticmethod
+    def _assert_byte_equal(left, right):
+        left_arrays, right_arrays = left.to_arrays(), right.to_arrays()
+        assert left_arrays.keys() == right_arrays.keys()
+        for name, array in left_arrays.items():
+            other = right_arrays[name]
+            assert array.dtype == other.dtype, name
+            assert array.shape == other.shape, name
+            assert array.tobytes() == other.tobytes(), name
+        for name in ("tree_sum", "spread_source", "scatter_root",
+                     "spread_target", "gather_root"):
+            assert getattr(left, name).shape == getattr(right, name).shape
+        assert left.num_forests == right.num_forests
+        assert np.array_equal(left.degree_zero_nodes,
+                              right.degree_zero_nodes)
+
+    @pytest.mark.parametrize("kind", ["improved", "stratified", "weighted",
+                                      "directed_sink", "one_forest"])
+    def test_build_and_derived_layouts_match(self, kind):
+        from repro.montecarlo.forest_index import node_ordering
+        from tests.bank_operators_oracle import coo_bank_operators
+
+        index = self._bank(kind)
+        degrees = index.graph.degrees
+        built = _BankOperators(index.forests, degrees)
+        oracle = coo_bank_operators(index.forests, degrees)
+        self._assert_byte_equal(built, oracle)
+        order = node_ordering(index.graph, "degree")
+        self._assert_byte_equal(_BankOperators.permuted(built, order),
+                                _BankOperators.permuted(oracle, order))
+        for owned in (np.arange(0, index.graph.num_nodes, 2),
+                      np.arange(3), np.empty(0, dtype=np.int64)):
+            self._assert_byte_equal(
+                _BankOperators.restricted(built, owned),
+                _BankOperators.restricted(oracle, owned))

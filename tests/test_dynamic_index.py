@@ -222,6 +222,68 @@ class TestIndexManagerMutate:
         rebound = manager.get_solver("g", "source", ALPHA, 0.5)
         assert rebound is not solver  # old solver was dropped
 
+    @pytest.mark.parametrize("dynamic", [True, False])
+    def test_repaired_bank_shares_the_registered_graph(self, graph,
+                                                       dynamic):
+        # the delta is applied once: the bank folds over the very graph
+        # object the manager serves pushes on (one alias table, one
+        # reverse graph, one degree vector per generation)
+        manager = self._manager(graph, dynamic=dynamic)
+        manager.mutate("g", GraphDelta().upsert_edge(0, 20, 2.0))
+        assert manager.get_index("g", ALPHA).graph is manager.graph("g")
+
+    def test_mutated_with_a_given_graph_matches_applying_the_delta(
+            self, graph):
+        index = DynamicForestIndex.build(graph, ALPHA, 3, rng=SEED)
+        delta = GraphDelta().upsert_edge(0, 20, 2.0)
+        new_graph = delta.apply(graph)
+        handed, _ = index.mutated(delta, rng=5, graph=new_graph)
+        applied, _ = index.mutated(delta, rng=5)
+        assert handed.graph is new_graph
+        for left, right in zip(handed.forests, applied.forests):
+            assert np.array_equal(left.roots, right.roots)
+            assert np.array_equal(left.parents, right.parents)
+
+
+class TestPublishedBanksAreFoldReady:
+    """Every generation the manager publishes carries its fold
+    operators, so no read after a boot, refresh or write builds them."""
+
+    @pytest.fixture(params=["static", "dynamic", "bank_dir"])
+    def manager(self, request, graph, tmp_path):
+        config = ServiceConfig(graph="g", alpha=ALPHA, seed=SEED,
+                               budget_scale=0.05).ppr_config()
+        if request.param == "bank_dir":
+            ForestIndex.build(graph, ALPHA, 6, rng=3).save_bank(
+                tmp_path / "bank")
+            manager = IndexManager(config, bank_dir=str(tmp_path / "bank"))
+        else:
+            manager = IndexManager(config, num_forests=6,
+                                   dynamic=request.param == "dynamic")
+        manager.register_graph("g", graph)
+        return manager
+
+    @staticmethod
+    def _published(manager):
+        # the resident bank: get_index builds nothing once it exists
+        return manager.get_index("g", ALPHA)
+
+    def test_boot(self, manager):
+        manager.warm("g", ALPHA)
+        assert self._published(manager)._operators_cache is not None
+
+    def test_refresh(self, manager):
+        manager.warm("g", ALPHA)
+        manager.refresh("g", ALPHA)
+        assert manager.generation("g", ALPHA) == 1
+        assert self._published(manager)._operators_cache is not None
+
+    def test_mutate(self, manager):
+        manager.warm("g", ALPHA)
+        manager.mutate("g", GraphDelta().upsert_edge(0, 20, 2.0))
+        assert manager.generation("g", ALPHA) == 1
+        assert self._published(manager)._operators_cache is not None
+
 
 @pytest.fixture(scope="module")
 def dynamic_service(graph):

@@ -281,3 +281,119 @@ class TestRootedForestType:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(Exception):
             RootedForest(roots=np.array([0, 1]), parents=np.array([-1]))
+
+
+class TestPopCyclesOracle:
+    """The compact-map popping loop against the global-array oracle
+    (``tests/cycle_popping_oracle.py``): same ``(roots, parents,
+    steps)`` and the same arrow-source calls, for every arrow source
+    the package runs through it."""
+
+    ALPHAS = [0.003, 0.01, 0.1, 0.5]
+    SEEDS = [0, 1, 2]
+
+    @staticmethod
+    def _graphs():
+        looped = from_edges(
+            [(u, (u * 7 + 3) % 90) for u in range(90)]
+            + [(u, u) for u in range(0, 90, 9)] + [(0, 45), (45, 89)],
+            num_nodes=90, allow_self_loops=True)
+        sinks = from_edges([(u, v) for u in range(60)
+                            for v in ((u * 5 + 1) % 70, (u * 11 + 2) % 70)
+                            if u != v],
+                           directed=True, num_nodes=70)
+        return {
+            "undirected": erdos_renyi(150, 0.03, rng=4),
+            "weighted": with_random_weights(
+                erdos_renyi(120, 0.05, rng=8), low=0.5, high=4.0,
+                integer=False, rng=9),
+            "self_loops": looped,
+            "directed_sinks": sinks,
+        }
+
+    @staticmethod
+    def _run(monkeypatch, module, loop, sample):
+        """``sample()`` with ``module.pop_cycles`` replaced by ``loop``,
+        logging every node set the arrow source is asked for."""
+        calls = []
+
+        def logged(size, draw, max_rounds=10_000_000):
+            def logged_draw(active):
+                calls.append(active.copy())
+                return draw(active)
+            return loop(size, logged_draw, max_rounds)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "pop_cycles", logged)
+            result = sample()
+        return result, calls
+
+    @staticmethod
+    def _forests(result):
+        """The forests of a sampler result: one forest, a list of them,
+        or a repair's ``(forest, record)`` pair."""
+        if isinstance(result, tuple):
+            return [result[0]]
+        return result if isinstance(result, list) else [result]
+
+    def _assert_same(self, monkeypatch, module, sample):
+        from tests.cycle_popping_oracle import global_pop_cycles
+
+        produced, calls = self._run(monkeypatch, module,
+                                    module.pop_cycles, sample)
+        expected, oracle_calls = self._run(monkeypatch, module,
+                                           global_pop_cycles, sample)
+        assert len(calls) == len(oracle_calls)
+        for mine, theirs in zip(calls, oracle_calls, strict=True):
+            assert np.array_equal(mine, theirs)
+        for left, right in zip(self._forests(produced),
+                               self._forests(expected), strict=True):
+            assert np.array_equal(left.roots, right.roots)
+            assert np.array_equal(left.parents, right.parents)
+            assert left.num_steps == right.num_steps
+        return produced, expected
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("name", ["undirected", "weighted",
+                                      "self_loops", "directed_sinks"])
+    def test_fresh(self, monkeypatch, name, alpha):
+        import repro.forests.cycle_popping as module
+
+        graph = self._graphs()[name]
+        for seed in self.SEEDS:
+            self._assert_same(
+                monkeypatch, module,
+                lambda: sample_forest_cycle_popping(graph, alpha, rng=seed))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_batch_union(self, monkeypatch, alpha, stratified):
+        import repro.forests.batch_sampling as module
+
+        for graph in self._graphs().values():
+            for seed in self.SEEDS:
+                self._assert_same(
+                    monkeypatch, module,
+                    lambda: module.sample_forests_batch(
+                        graph, alpha, 3, rng=seed, stratified=stratified))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_repair_replay(self, monkeypatch, alpha):
+        import repro.forests.repair as module
+        from repro.graph import GraphDelta
+
+        for graph in self._graphs().values():
+            delta = GraphDelta().upsert_edge(1, 40, 2.5)
+            new_graph = delta.apply(graph)
+            for seed in self.SEEDS:
+                _, record = module.sample_forest_recorded(graph, alpha,
+                                                          rng=seed)
+                produced, expected = self._assert_same(
+                    monkeypatch, module,
+                    lambda: module.repair_forest(
+                        new_graph, alpha, record, delta.touched_nodes(),
+                        rng=seed + 10))
+                assert np.array_equal(produced[1].indptr,
+                                      expected[1].indptr)
+                assert np.array_equal(produced[1].arrows,
+                                      expected[1].arrows)
