@@ -273,12 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "a Latin-hypercube grid and shrinks "
                                   "the --epsilon sizing by its measured "
                                   "variance gain")
-    index_build.add_argument("--node-order",
-                             choices=["none", "degree", "bfs"],
-                             default="none",
-                             help="cache-aware bank row relabeling "
-                                  "(format v3); float64 answers stay "
-                                  "byte-identical to --node-order none")
     index_build.add_argument("--bank-dtype",
                              choices=["float64", "float32"],
                              default="float64",
@@ -557,9 +551,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ``--dry-run`` prints the resolved :class:`ServiceConfig` and exits
     without loading the graph — the golden-output tests pin this
     transcript so the flag plumbing stays byte-stable.  With
-    ``--bank-dir`` it first opens the bank as boot would (manifest,
-    then every member's shape and dtype), so a damaged bank fails the
-    dry run with the same ``error:`` as the real boot.
+    ``--bank-dir`` it loads the graph and opens the bank exactly as
+    boot does (:func:`~repro.service.index_manager.load_served_bank`),
+    so a damaged, relabeled, graph- or α-mismatched bank fails the dry
+    run with the same ``error:`` as the real boot.
     """
     from repro.service import PPRService, ServiceConfig
     from repro.service.http import make_server, serve_forever
@@ -587,9 +582,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(config.describe())
     if args.dry_run:
         if args.bank_dir is not None:
-            from repro.parallel.shared_bank import load_array_bank
+            from repro.service.index_manager import load_served_bank
 
-            load_array_bank(args.bank_dir)
+            load_served_bank(args.bank_dir,
+                             load_dataset(args.graph, scale=args.scale),
+                             config.alpha)
         print("dry run: config ok, not starting the server")
         return 0
 
@@ -605,7 +602,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     banks = service.index_manager.stats()["banks"]
     for bank, entry in banks.items():
         print(f"warmed {bank}: {entry['num_forests']} forests, "
-              f"{entry['size_bytes'] / 2**20:.1f} MiB in "
+              f"{entry['resident_bytes'] / 2**20:.1f} MiB in "
               f"{entry['build_seconds']:.2f}s")
     print(f"serving on http://{server.server_address[0]}:"
           f"{server.server_port}", flush=True)
@@ -691,12 +688,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
                 "--shards does not combine with --dynamic banks; "
                 "sharded dynamic repair lives in the service "
                 "(`repro serve --shards N --dynamic`)")
-        if args.dynamic and (args.node_order != "none"
-                             or args.bank_dtype != "float64"):
+        if args.dynamic and args.bank_dtype != "float64":
             raise ConfigError(
-                "--node-order/--bank-dtype do not combine with "
-                "--dynamic banks: arrow records replay against raw "
-                "node ids in full precision")
+                "--bank-dtype does not combine with --dynamic banks: "
+                "arrow records replay in full precision")
         graph = load_dataset(args.dataset, scale=args.scale)
         size = args.num_forests or ForestIndex.recommended_size(
             graph, args.epsilon, variance_mode=args.variance_mode)
@@ -712,8 +707,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
                                       rng=args.seed,
                                       workers=args.workers,
                                       variance_mode=args.variance_mode)
-            index.save_bank(args.out_dir, node_order=args.node_order,
-                            bank_dtype=args.bank_dtype)
+            index.save_bank(args.out_dir, bank_dtype=args.bank_dtype)
         manifest = bank_manifest(args.out_dir)
         payload = sum(spec["nbytes"]
                       for spec in manifest["arrays"].values())
@@ -723,7 +717,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         print(f"  alpha {args.alpha:g}  forests {index.num_forests}  "
               f"steps {index.build_steps}")
         print(f"  variance {args.variance_mode}  "
-              f"layout {args.node_order}/{args.bank_dtype}")
+              f"layout none/{args.bank_dtype}")  # rows are node ids
         print(f"  arrays {len(manifest['arrays'])}  "
               f"payload {payload} bytes  "
               f"format v{manifest['version']}")
@@ -791,7 +785,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
     print(f"array bank, format v{manifest['version']}")
     # build_seconds is wall clock — everything printed here is stable.
     # bank_dtype / node_order / variance_mode are v3 keys; pre-v3 banks
-    # carry the implied defaults.
+    # carry the implied defaults (node_order is always "none" on a
+    # bank that loads).
     for key in ("kind", "alpha", "num_nodes", "num_forests",
                 "build_steps", "degree_checksum"):
         if key in meta:

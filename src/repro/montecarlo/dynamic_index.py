@@ -119,6 +119,13 @@ class DynamicForestIndex(ForestIndex):
         """Total recorded arrow draws across the bank (memory proxy)."""
         return sum(record.num_arrows for record in self.records)
 
+    @property
+    def resident_bytes(self) -> int:
+        """:attr:`ForestIndex.resident_bytes` plus the arrow records."""
+        return super().resident_bytes + sum(
+            record.indptr.nbytes + record.arrows.nbytes
+            for record in self.records)
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -208,9 +215,7 @@ class DynamicForestIndex(ForestIndex):
             "build_steps": int(self.build_steps),
             "build_seconds": float(self.build_seconds),
             "degree_checksum": int(degree_checksum(graph)),
-            # dynamic banks always serialize the raw node space: the
-            # arrow records replay against node ids, and repairs would
-            # invalidate any cached relabeling anyway
+            # arrow records replay against node ids in full precision
             "bank_dtype": "float64",
             "node_order": "none",
             "variance_mode": "improved",

@@ -35,16 +35,12 @@ from repro.forests.forest import RootedForest
 from repro.forests.sampling import sample_forests
 from repro.graph.csr import Graph
 
-__all__ = ["ForestIndex", "degree_checksum", "node_ordering",
-           "NODE_ORDERS", "BANK_DTYPES"]
+__all__ = ["ForestIndex", "degree_checksum", "BANK_DTYPES"]
 
 #: Sparse operators exported to / rebuilt from array banks, in a fixed
 #: order so bank layouts are deterministic.
 _OPERATOR_NAMES = ("tree_sum", "spread_source", "scatter_root",
                    "spread_target", "gather_root")
-
-#: Node relabelings a bank can be serialized under (format v3).
-NODE_ORDERS = ("none", "degree", "bfs")
 
 #: Storage dtypes for the operator value arrays (format v3).
 BANK_DTYPES = ("float64", "float32")
@@ -60,47 +56,6 @@ _FLOAT_BANK_ARRAYS = frozenset(
 _INDEX_BANK_ARRAYS = frozenset(
     {f"{name}_indptr" for name in _OPERATOR_NAMES}
     | {f"{name}_indices" for name in _OPERATOR_NAMES})
-
-
-def node_ordering(graph: Graph, kind: str) -> np.ndarray | None:
-    """The bank row permutation for a relabeling ``kind``.
-
-    Returns ``perm`` such that bank row ``i`` serves node ``perm[i]``,
-    or ``None`` for the identity.  ``"degree"`` sorts rows by
-    descending weighted degree (stable, so equal-degree nodes keep
-    their id order); ``"bfs"`` orders rows by breadth-first discovery
-    from node 0, appending unreached components in node-id order.
-    Both pack the heavily-referenced rows of the fold operators next
-    to each other, which is the cache win of bank format v3.
-    """
-    if kind in (None, "none"):
-        return None
-    if kind == "degree":
-        return np.argsort(-graph.degrees, kind="stable").astype(np.int64)
-    if kind == "bfs":
-        from collections import deque
-
-        n = graph.num_nodes
-        visited = np.zeros(n, dtype=bool)
-        order = np.empty(n, dtype=np.int64)
-        filled = 0
-        for start in range(n):
-            if visited[start]:
-                continue
-            visited[start] = True
-            queue = deque((start,))
-            while queue:
-                node = queue.popleft()
-                order[filled] = node
-                filled += 1
-                for neighbor in graph.indices[
-                        graph.indptr[node]:graph.indptr[node + 1]]:
-                    if not visited[neighbor]:
-                        visited[neighbor] = True
-                        queue.append(neighbor)
-        return order
-    raise ConfigError(
-        f"node order must be one of {NODE_ORDERS}, got {kind!r}")
 
 
 def _csr(shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
@@ -201,13 +156,6 @@ class _BankOperators:
     independently, so each query's answer is bit-identical for every
     batch size and composition.
 
-    **Row relabeling (bank format v3).**  :meth:`permuted` reorders
-    the *output rows* of the four ``Q`` operators so hot rows sit next
-    to each other on disk and in cache; ``tree_sum`` — whose stored
-    nonzero order fixes every segment sum's float accumulation — never
-    moves, and each ``Q`` row is gathered verbatim, so unpermuting the
-    fold output reproduces the identity layout's answers bit-for-bit.
-
     **Build.**  The operators are written in CSR form directly: a
     forest's segments come from its root mask and a cumsum (no sort),
     the node-major ``Q`` rows hold exactly one entry per forest (a
@@ -216,12 +164,6 @@ class _BankOperators:
     ``scatter_root @ tree_sum``.  Every array is byte-equal to the
     COO-built operators of ``tests/bank_operators_oracle.py``.
     """
-
-    #: Identity-layout defaults, as class attributes so every
-    #: construction path (__init__, from_arrays, restricted) starts
-    #: unpermuted without repeating the assignment.
-    node_order: np.ndarray | None = None
-    _row_of: np.ndarray | None = None
 
     def __init__(self, forests: list[RootedForest], degrees: np.ndarray):
         num_nodes = degrees.size
@@ -313,65 +255,6 @@ class _BankOperators:
                                 gather_indices, gather_data)
 
     # ------------------------------------------------------------------
-    # Cache-aware row relabeling (bank format v3)
-    # ------------------------------------------------------------------
-    @property
-    def row_of_node(self) -> np.ndarray | None:
-        """Inverse of :attr:`node_order`: ``row_of_node[v]`` is the
-        operator row serving node ``v`` (``None`` on identity banks)."""
-        if self.node_order is None:
-            return None
-        if self._row_of is None:
-            order = np.asarray(self.node_order)
-            row_of = np.empty(order.size, dtype=np.int64)
-            row_of[order] = np.arange(order.size)
-            self._row_of = row_of
-        return self._row_of
-
-    @classmethod
-    def permuted(cls, source: "_BankOperators",
-                 node_order: np.ndarray) -> "_BankOperators":
-        """Relabel the Q-operator output rows by ``node_order``.
-
-        ``node_order[i]`` is the node served by output row ``i``.
-        Only the output row space moves: a CSR row gather copies each
-        row's stored nonzeros (order and values) verbatim, and
-        ``tree_sum`` is shared untouched, so every estimate computed
-        through this layout — after undoing the permutation on the
-        output — is bit-identical to the identity layout's.
-        """
-        if source.local_nodes is not None:
-            raise ConfigError(
-                "shard banks cannot be relabeled; apply the node order "
-                "to the whole-node-space bank before restricting")
-        if source.node_order is not None:
-            raise ConfigError("operators are already relabeled")
-        node_order = np.asarray(node_order, dtype=np.int64)
-        num_rows = source.gather_root.shape[0]
-        if node_order.shape != (num_rows,) or not np.array_equal(
-                np.sort(node_order), np.arange(num_rows)):
-            raise ConfigError(
-                f"node_order must be a permutation of all {num_rows} "
-                f"node ids")
-        ops = object.__new__(cls)
-        ops.num_forests = source.num_forests
-        ops.local_nodes = None
-        ops.node_order = node_order
-        ops.segment_root = source.segment_root
-        ops.segment_degree = source.segment_degree
-        ops.tree_sum = source.tree_sum
-        for name in ("spread_source", "scatter_root", "spread_target",
-                     "gather_root"):
-            setattr(ops, name, getattr(source, name)[node_order])
-        row_of = np.empty(num_rows, dtype=np.int64)
-        row_of[node_order] = np.arange(num_rows)
-        ops._row_of = row_of
-        dz_nodes = np.asarray(source.degree_zero_nodes)
-        ops.degree_zero = row_of[dz_nodes]    # permuted row positions
-        ops.degree_zero_nodes = dz_nodes      # global node ids
-        return ops
-
-    # ------------------------------------------------------------------
     # Array-bank (de)hydration — the zero-copy serving representation
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -391,10 +274,6 @@ class _BankOperators:
             # shard-restricted bank: output rows are local positions
             # into this owned-node list (degree_zero included)
             arrays["local_nodes"] = self.local_nodes
-        if self.node_order is not None:
-            # relabeled bank (format v3): row i serves node_order[i];
-            # degree_zero holds permuted row positions
-            arrays["node_order"] = self.node_order
         for name in _OPERATOR_NAMES:
             matrix = getattr(self, name)
             arrays[f"{name}_indptr"] = matrix.indptr
@@ -415,15 +294,9 @@ class _BankOperators:
         ops.segment_degree = np.asarray(arrays["segment_degree"])
         local = arrays.get("local_nodes")
         ops.local_nodes = None if local is None else np.asarray(local)
-        order = arrays.get("node_order")
-        if order is not None:
-            ops.node_order = np.asarray(order)
         if ops.local_nodes is None:
             num_rows = num_nodes
-            # relabeled bank: degree_zero holds permuted row positions
-            ops.degree_zero_nodes = (
-                ops.degree_zero if ops.node_order is None
-                else np.asarray(ops.node_order)[ops.degree_zero])
+            ops.degree_zero_nodes = ops.degree_zero
         else:  # shard bank: degree_zero holds local row positions
             num_rows = ops.local_nodes.size
             ops.degree_zero_nodes = ops.local_nodes[ops.degree_zero]
@@ -475,18 +348,10 @@ class _BankOperators:
         ops = object.__new__(cls)
         ops.num_forests = source.num_forests
         ops.local_nodes = local_nodes
-        if source.node_order is not None:
-            # relabeled parent: node v's operator row is row_of_node[v].
-            # Gathering those rows in local-node order yields shard
-            # operators byte-identical to restricting an identity-layout
-            # parent, so the permutation never leaks into shard banks.
-            take = source.row_of_node[local_nodes]
-        else:
-            take = local_nodes
-        spread_source = source.spread_source[take]
-        scatter_root = source.scatter_root[take]
-        spread_target = source.spread_target[take]
-        ops.gather_root = source.gather_root[take]
+        spread_source = source.spread_source[local_nodes]
+        scatter_root = source.scatter_root[local_nodes]
+        spread_target = source.spread_target[local_nodes]
+        ops.gather_root = source.gather_root[local_nodes]
         # segments touched by any owned row (scatter_root's columns
         # are a subset: a root is a member of its own segment)
         needed = np.unique(np.concatenate(
@@ -556,7 +421,6 @@ class ForestIndex:
         self.shard_strategy: str | None = None
         # provenance recorded in (and restored from) bank meta, v3
         self.variance_mode: str = "improved"
-        self.bank_node_order: str = "none"
         self.bank_dtype: str = "float64"
 
     @classmethod
@@ -677,6 +541,28 @@ class ForestIndex:
             total += forest.component_degree_mass(self.graph.degrees).nbytes
         return total
 
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes of the arrays this index holds in memory: its fold
+        operators (built or attached; an array two operators share
+        counts once) and each stored forest's roots, parents and
+        degree masses.
+
+        :attr:`size_bytes` stays the paper's Fig-6 footprint; this is
+        what a serving generation keeps, and what the service's
+        memory accounting reports.
+        """
+        arrays = {}
+        if self._operators_cache is not None:
+            arrays = {id(array): array for array
+                      in self._operators_cache.to_arrays().values()}
+        total = sum(array.nbytes for array in arrays.values())
+        for forest in self.forests:
+            total += (forest.roots.nbytes + forest.parents.nbytes
+                      + forest.component_degree_mass(
+                          self.graph.degrees).nbytes)
+        return total
+
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
@@ -775,8 +661,7 @@ class ForestIndex:
     # ------------------------------------------------------------------
     # Array-bank persistence / attach (zero-copy serving path)
     # ------------------------------------------------------------------
-    def bank_arrays(self, *, node_order: str | None = None,
-                    bank_dtype: str = "float64"
+    def bank_arrays(self, *, bank_dtype: str = "float64"
                     ) -> tuple[dict[str, np.ndarray], dict]:
         """The ``(arrays, meta)`` bank contents for this index.
 
@@ -786,37 +671,19 @@ class ForestIndex:
         cost so an attached index reproduces ``num_forests`` /
         ``build_steps`` exactly.
 
-        Bank format v3 knobs, both applied at serialization time only:
-
-        - ``node_order`` (``"degree"`` / ``"bfs"``) relabels the Q
-          operators' output rows cache-aware (see
-          :meth:`_BankOperators.permuted`); the permutation rides in
-          the bank and every query surface unpermutes its output, so
-          float64 answers are byte-identical to the identity layout.
-        - ``bank_dtype="float32"`` stores operator values in float32
-          and CSR indices in int32, halving the bank's bytes; folds
-          then run from rounded operator entries, so answers carry a
-          bounded relative error instead of being byte-identical (see
-          BENCHMARKING.md for the measured bound).
+        The one layout option (bank format v3) is applied at
+        serialization time only: ``bank_dtype="float32"`` stores
+        operator values in float32 and CSR indices in int32, cutting
+        the bank's bytes to ~0.68×; folds then run from rounded
+        operator entries, so answers carry a bounded relative error
+        instead of being byte-identical (see BENCHMARKING.md for the
+        measured bound).  Operator rows are always node ids.
         """
-        order_kind = "none" if node_order in (None, "none") \
-            else str(node_order)
         if bank_dtype not in BANK_DTYPES:
             raise ConfigError(
                 f"bank_dtype must be one of {BANK_DTYPES}, "
                 f"got {bank_dtype!r}")
-        ops = self._operators
-        if order_kind != "none":
-            if self.local_nodes is not None:
-                raise ConfigError(
-                    "shard banks cannot be relabeled; order the "
-                    "whole-node-space bank before restricting")
-            ops = _BankOperators.permuted(
-                ops, node_ordering(self.graph, order_kind))
-        elif ops.node_order is not None:
-            # re-serializing an attached relabeled bank keeps its order
-            order_kind = self.bank_node_order
-        arrays = ops.to_arrays()
+        arrays = self._operators.to_arrays()
         if bank_dtype == "float32":
             int32_max = np.iinfo(np.int32).max
             cast: dict[str, np.ndarray] = {}
@@ -842,7 +709,9 @@ class ForestIndex:
             "build_seconds": float(self.build_seconds),
             "degree_checksum": int(degree_checksum(self.graph)),
             "bank_dtype": bank_dtype,
-            "node_order": order_kind,
+            # kept so v3 manifests stay as they were; a bank that names
+            # any other order is refused by attach_bank
+            "node_order": "none",
             "variance_mode": self.variance_mode,
         }
         if self.local_nodes is not None:
@@ -858,7 +727,6 @@ class ForestIndex:
         return arrays, meta
 
     def save_bank(self, path: str | os.PathLike, *,
-                  node_order: str | None = None,
                   bank_dtype: str = "float64") -> None:
         """Write the uncompressed, memmap-able bank directory.
 
@@ -866,13 +734,12 @@ class ForestIndex:
         plain ``.npy`` file per operator array plus ``manifest.json``
         (see :func:`repro.parallel.shared_bank.save_array_bank`), so
         ``np.load(..., mmap_mode="r")`` maps a multi-hundred-MB bank
-        without copying a byte.  ``node_order`` / ``bank_dtype`` are
-        the format-v3 layout knobs of :meth:`bank_arrays`.
+        without copying a byte.  ``bank_dtype`` is the format-v3
+        layout option of :meth:`bank_arrays`.
         """
         from repro.parallel.shared_bank import save_array_bank
 
-        arrays, meta = self.bank_arrays(node_order=node_order,
-                                        bank_dtype=bank_dtype)
+        arrays, meta = self.bank_arrays(bank_dtype=bank_dtype)
         save_array_bank(path, arrays, meta)
 
     def bank_nbytes(self, *, bank_dtype: str = "float64") -> int:
@@ -910,6 +777,13 @@ class ForestIndex:
                 f"bank is not a forest index (kind={meta.get('kind')!r})")
         # v1/v2 banks predate these keys: improved, identity layout,
         # float64
+        order = str(meta.get("node_order", "none"))
+        if "node_order" in arrays or order != "none":
+            raise ConfigError(
+                f"bank rows are relabeled (node_order={order!r}), a "
+                f"layout that is no longer served: it was never faster "
+                f"than node-id rows; rebuild the bank with "
+                f"`repro index build`")
         variance_mode = str(meta.get("variance_mode", "improved"))
         if variance_mode not in VARIANCE_MODES:
             raise ConfigError(
@@ -925,7 +799,6 @@ class ForestIndex:
             arrays, num_nodes=graph.num_nodes,
             num_forests=int(meta["num_forests"]))
         index.variance_mode = variance_mode
-        index.bank_node_order = str(meta.get("node_order", "none"))
         index.bank_dtype = str(meta.get("bank_dtype", "float64"))
         if index._operators_cache.local_nodes is not None:
             index.local_nodes = index._operators_cache.local_nodes
@@ -993,21 +866,13 @@ class ForestIndex:
         spread = ops.spread_source if improved else ops.scatter_root
         estimates = spread @ tree_sums
         estimates /= ops.num_forests
-        if ops.node_order is not None:
-            # relabeled bank: undo the row permutation (a pure row
-            # gather), after which row v is node v again and answers
-            # match the identity layout bit-for-bit
-            estimates = estimates[ops.row_of_node]
         if improved and ops.degree_zero.size:
             # degree-0 singletons: the estimator returns the node's own
             # residual in every forest.  degree_zero indexes the OUTPUT
             # rows (local positions on a shard bank), degree_zero_nodes
             # the residual (always global node ids); the two coincide
-            # on a whole-node-space bank, and after unpermuting a
-            # relabeled bank the output rows are global ids too.
-            rows = (ops.degree_zero if ops.node_order is None
-                    else ops.degree_zero_nodes)
-            estimates[rows] = batch[ops.degree_zero_nodes]
+            # on a whole-node-space bank.
+            estimates[ops.degree_zero] = batch[ops.degree_zero_nodes]
         return estimates.T
 
     def estimate_target_many(self, residuals: np.ndarray, *,
@@ -1018,18 +883,12 @@ class ForestIndex:
         if not improved:
             estimates = ops.gather_root @ batch
             estimates /= ops.num_forests
-            if ops.node_order is not None:
-                estimates = estimates[ops.row_of_node]
             return estimates.T
         tree_sums = ops.tree_sum @ (batch * self.graph.degrees[:, None])
         estimates = ops.spread_target @ tree_sums
         estimates /= ops.num_forests
-        if ops.node_order is not None:
-            estimates = estimates[ops.row_of_node]
         if ops.degree_zero.size:
-            rows = (ops.degree_zero if ops.node_order is None
-                    else ops.degree_zero_nodes)
-            estimates[rows] = batch[ops.degree_zero_nodes]
+            estimates[ops.degree_zero] = batch[ops.degree_zero_nodes]
         return estimates.T
 
     def estimate_target_entries(self, residuals: np.ndarray,
@@ -1061,11 +920,7 @@ class ForestIndex:
         ops = self._operators
         rows = np.arange(entries.size)
         if ops.local_nodes is None:
-            # relabeled bank: node v's operator row is row_of_node[v];
-            # the row gather copies stored nonzeros verbatim, so each
-            # scalar matches the identity layout bit-for-bit
-            op_rows = (entries if ops.node_order is None
-                       else ops.row_of_node[entries])
+            op_rows = entries
         else:
             # shard bank: operator rows are local positions; every
             # requested entry must be owned by this shard (the router

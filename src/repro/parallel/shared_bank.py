@@ -56,12 +56,13 @@ __all__ = [
 
 #: On-disk manifest schema version (bump on incompatible changes).
 #: v2 adds optional shard metadata to forest banks (a ``local_nodes``
-#: array plus ``shard_*`` meta keys).  v3 adds the cache-aware layout
-#: knobs: an optional ``node_order`` permutation array plus
-#: ``bank_dtype`` / ``node_order`` / ``variance_mode`` meta keys, with
-#: operator values optionally stored as float32/int32.  Both changes
-#: are additive — readers default missing keys to the identity layout
-#: and float64 — so v1/v2 banks stay readable; :func:`bank_manifest`
+#: array plus ``shard_*`` meta keys).  v3 adds the ``bank_dtype`` /
+#: ``node_order`` / ``variance_mode`` meta keys, with operator values
+#: optionally stored as float32/int32.  ``node_order`` is always
+#: ``"none"``: a v3 bank written with relabeled rows (a
+#: ``node_order`` array) is refused on attach.  Both changes are
+#: additive — readers default missing keys to node-id rows and
+#: float64 — so v1/v2 banks stay readable; :func:`bank_manifest`
 #: rejects only versions *newer* than this.
 BANK_FORMAT_VERSION = 3
 

@@ -51,11 +51,13 @@ class ServiceConfig:
     bank_dir:
         Preload generation 0 from a saved ``repro index build`` bank
         directory instead of sampling at boot.  The bank's graph
-        fingerprint and α must match the served configuration;
-        relabeled (``--node-order``) float64 banks answer
-        byte-identically to a freshly built index at the same seed.
-        Incompatible with ``dynamic`` (static banks carry no arrow
-        records) and ignored for generations > 0 (mutations resample).
+        fingerprint and α must match the served configuration, and
+        its operator rows must be node ids (a relabeled bank from an
+        older build is refused; rebuild it).  A float64 bank answers
+        byte-identically to an index built at boot from the same
+        forests.  Incompatible with ``dynamic`` (static banks carry no
+        arrow records) and ignored for generations > 0 (mutations
+        resample).
     shards, shard_strategy:
         Partition the node space across ``shards`` worker pools of
         ``workers`` processes each, scatter-gathering every query

@@ -20,8 +20,8 @@ stage per query.  :class:`IndexManager` owns those banks:
   in-flight queries keep the bank they already hold, new queries see
   the new generation;
 - **memory accounting** — :meth:`memory_bytes` / :meth:`stats` report
-  per-bank and total footprint via the index-size machinery the Fig-6
-  experiment already uses;
+  the bytes each resident bank holds: its fold operators, stored
+  forests and (dynamic banks) arrow records;
 - **shared-memory views** — :meth:`shared_view` publishes the graph's
   CSR arrays and the bank's fold operators as named shared-memory
   segments for the multiprocess executor; a refresh *retires* the old
@@ -57,7 +57,8 @@ from repro.parallel.shared_bank import BankHandle, SharedArrayBank
 from repro.parallel.shared_graph import graph_bank_arrays
 from repro.shard.partition import STRATEGIES, ShardMap
 
-__all__ = ["IndexManager", "SharedIndexView", "SOLVER_CLASSES"]
+__all__ = ["IndexManager", "SharedIndexView", "SOLVER_CLASSES",
+           "load_served_bank"]
 
 #: Query kind → batch solver class; the one dispatch table shared by
 #: the in-process scheduler path and the executor workers.
@@ -68,6 +69,24 @@ SOLVER_CLASSES = {
     "topk": BatchTopKSolver,
     "pair": BatchPairSolver,
 }
+
+
+def load_served_bank(bank_dir: str, graph: Graph,
+                     alpha: float) -> ForestIndex:
+    """Open a saved ``repro index build`` bank for serving ``graph``
+    at ``alpha``.
+
+    The one check both the boot preload and ``repro serve --dry-run``
+    run: :meth:`ForestIndex.load_bank` refuses a damaged, relabeled or
+    graph-mismatched bank, and a bank built at another α is refused
+    here, each with a :class:`ConfigError`.
+    """
+    index = ForestIndex.load_bank(bank_dir, graph)
+    if abs(index.alpha - alpha) > 1e-12:
+        raise ConfigError(
+            f"bank at {bank_dir!r} was built for alpha={index.alpha}, "
+            f"service wants alpha={alpha}")
+    return index
 
 
 class _ManagedIndex:
@@ -237,14 +256,9 @@ class IndexManager:
             variance_mode=self.config.variance_mode)
         seed = self._build_seed(name, alpha, generation)
         if self.bank_dir is not None and generation == 0:
-            # preload the saved bank instead of sampling; the graph
-            # fingerprint check lives in load_bank, the α check here.
-            # Generations > 0 (mutations) resample as usual.
-            index = ForestIndex.load_bank(self.bank_dir, graph)
-            if abs(index.alpha - alpha) > 1e-12:
-                raise ConfigError(
-                    f"bank at {self.bank_dir!r} was built for "
-                    f"alpha={index.alpha}, service wants alpha={alpha}")
+            # preload the saved bank instead of sampling; generations
+            # > 0 (mutations) resample as usual
+            index = load_served_bank(self.bank_dir, graph, alpha)
         elif self.dynamic:
             # recorded sampling: repairable banks, cycle popping only
             index = DynamicForestIndex.build(graph, alpha, size, rng=seed)
@@ -580,13 +594,15 @@ class IndexManager:
             return managed.generation if managed else -1
 
     def memory_bytes(self) -> int:
-        """Total footprint of every resident bank."""
+        """Bytes every resident bank holds (see
+        :attr:`~repro.montecarlo.forest_index.ForestIndex.resident_bytes`)."""
         with self._lock:
             managed = list(self._indexes.values())
-        return sum(entry.index.size_bytes for entry in managed)
+        return sum(entry.index.resident_bytes for entry in managed)
 
     def stats(self) -> dict:
-        """Snapshot: builds, per-bank size/generation, total bytes."""
+        """Snapshot: builds, per-bank resident bytes/generation, total
+        bytes."""
         with self._lock:
             managed = dict(self._indexes)
             builds = self._builds
@@ -594,12 +610,13 @@ class IndexManager:
         banks = {
             f"{name}@{alpha}": {
                 "num_forests": entry.index.num_forests,
-                "size_bytes": entry.index.size_bytes,
+                "resident_bytes": entry.index.resident_bytes,
                 "generation": entry.generation,
                 "build_seconds": entry.index.build_seconds,
             }
             for (name, alpha), entry in sorted(managed.items())}
         return {"builds": builds, "solvers": solvers, "banks": banks,
-                "memory_bytes": sum(b["size_bytes"] for b in banks.values()),
+                "memory_bytes": sum(b["resident_bytes"]
+                                    for b in banks.values()),
                 "shards": self.shards,
                 "shard_strategy": self.shard_strategy}

@@ -147,7 +147,7 @@ class PPRService:
                      for key, value in self.cache.stats().items()})
         self.metrics.register_gauge(
             "repro_service_index_bytes",
-            lambda: {f'{{bank="{bank}"}}': float(entry["size_bytes"])
+            lambda: {f'{{bank="{bank}"}}': float(entry["resident_bytes"])
                      for bank, entry
                      in self.index_manager.stats()["banks"].items()}
             or {"": 0.0})

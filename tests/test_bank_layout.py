@@ -1,16 +1,14 @@
-"""Bank format v3: cache-aware node relabeling + float32 storage.
+"""Bank format v3: one layout, node-id rows, float64 or float32 values.
 
 The layout contract this file pins down:
 
-- a degree/BFS-relabeled **float64** bank answers every query surface
-  **byte-identically** to the identity layout (the permutation is pure
-  row bookkeeping — `_BankOperators.permuted` row-gathers the Q
-  operators and every fold unpermutes its output);
-- shard restriction of a relabeled parent never leaks the permutation
-  into the shard bank;
 - ``bank_dtype="float32"`` halves the dominant bank bytes and keeps
   answers within the documented error bound;
-- v1/v2 banks (no layout metadata) still load, as identity/float64.
+- v1/v2 banks (no layout metadata) still load, as node-id rows and
+  float64;
+- a bank whose rows were relabeled (``node_order`` other than
+  ``"none"``) is refused with a :class:`ConfigError` naming the
+  rebuild command.
 """
 
 import json
@@ -19,24 +17,17 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigError
-from repro.graph import from_edges
 from repro.graph.generators import chung_lu
-from repro.montecarlo.forest_index import (
-    BANK_DTYPES,
-    NODE_ORDERS,
-    ForestIndex,
-    _BankOperators,
-    node_ordering,
-)
-from repro.parallel.shared_bank import BANK_FORMAT_VERSION
+from repro.montecarlo.forest_index import BANK_DTYPES, ForestIndex
+from repro.parallel.shared_bank import BANK_FORMAT_VERSION, save_array_bank
 
 ALPHA = 0.2
 
 
 @pytest.fixture(scope="module")
 def graph():
-    # skewed degrees so the degree ordering actually moves rows, plus
-    # (typically) a few isolated nodes to exercise the degree-0 fixup
+    # skewed degrees, plus (typically) a few isolated nodes to exercise
+    # the degree-0 fixup
     degrees = 1.0 + 7.0 * (np.arange(60) % 11) / 10.0
     return chung_lu(degrees, rng=11)
 
@@ -53,133 +44,48 @@ def residuals(graph):
     return batch / batch.sum(axis=1, keepdims=True)
 
 
+def save_relabeled(arrays, meta, path, *, with_array=True,
+                   order="degree"):
+    """Write ``arrays``/``meta`` as a bank with relabeled rows, the
+    layout older builds wrote (a permutation array plus its kind)."""
+    arrays = dict(arrays)
+    if with_array:
+        arrays["node_order"] = np.arange(meta["num_nodes"])[::-1]
+    save_array_bank(path, arrays, dict(meta, node_order=order))
+
+
 def _reload(index, tmp_path, **bank_kwargs):
     index.save_bank(tmp_path / "bank", **bank_kwargs)
     return ForestIndex.load_bank(tmp_path / "bank", index.graph)
 
 
-class TestNodeOrdering:
-    def test_degree_order_is_descending_and_stable(self, graph):
-        order = node_ordering(graph, "degree")
-        ordered = graph.degrees[order]
-        assert (np.diff(ordered) <= 0).all()
-        # stable: equal degrees keep ascending node-id order
-        for degree in np.unique(ordered):
-            ids = order[ordered == degree]
-            assert (np.diff(ids) > 0).all()
+class TestRelabeledBankRefused:
+    """Banks written with relabeled rows (``node_order`` other than
+    ``"none"``, plus a permutation array) are refused, not served."""
 
-    def test_bfs_order_is_a_permutation_from_node_zero(self, graph):
-        order = node_ordering(graph, "bfs")
-        assert np.array_equal(np.sort(order), np.arange(graph.num_nodes))
-        assert order[0] == 0
+    @pytest.mark.parametrize("with_array,order", [
+        (True, "degree"), (True, "bfs"), (False, "degree"),
+        (True, "none")])
+    def test_load_bank_refuses_relabeled_rows(self, index, tmp_path,
+                                              with_array, order):
+        path = tmp_path / "relabeled"
+        save_relabeled(*index.bank_arrays(), path, with_array=with_array,
+                       order=order)
+        with pytest.raises(ConfigError,
+                           match="relabeled.*repro index build"):
+            ForestIndex.load_bank(path, index.graph)
 
-    def test_none_is_identity(self, graph):
-        assert node_ordering(graph, "none") is None
-        assert node_ordering(graph, None) is None
-
-    def test_unknown_kind_raises(self, graph):
-        with pytest.raises(ConfigError, match="node order"):
-            node_ordering(graph, "hilbert")
-
-
-class TestRelabeledFloat64ByteIdentity:
-    """The heart of the v3 contract: relabeling is invisible."""
-
-    @pytest.mark.parametrize("order", ["degree", "bfs"])
-    def test_every_surface_is_byte_identical(self, index, residuals,
-                                             tmp_path, order):
-        relabeled = _reload(index, tmp_path, node_order=order)
-        assert relabeled.bank_node_order == order
-        assert relabeled._operators.node_order is not None
-        entries = np.array([0, 5, 17, 42])
-        for improved in (True, False):
-            assert np.array_equal(
-                index.estimate_source_many(residuals, improved=improved),
-                relabeled.estimate_source_many(residuals,
-                                               improved=improved))
-            assert np.array_equal(
-                index.estimate_target_many(residuals, improved=improved),
-                relabeled.estimate_target_many(residuals,
-                                               improved=improved))
-            assert np.array_equal(
-                index.estimate_target_entries(residuals, entries,
-                                              improved=improved),
-                relabeled.estimate_target_entries(residuals, entries,
-                                                  improved=improved))
-
-    def test_degree_zero_rows_survive_relabeling(self, index, graph,
-                                                 tmp_path):
-        isolated = np.flatnonzero(graph.degrees == 0)
-        if not isolated.size:
-            pytest.skip("generator produced no isolated node")
-        relabeled = _reload(index, tmp_path, node_order="degree")
-        batch = np.zeros((1, graph.num_nodes))
-        batch[0, isolated[0]] = 0.7
-        assert relabeled.estimate_source_many(batch)[0, isolated[0]] == 0.7
-        assert relabeled.estimate_target_many(batch)[0, isolated[0]] == 0.7
-
-    def test_metadata_round_trips(self, index, tmp_path):
-        relabeled = _reload(index, tmp_path, node_order="degree")
-        assert relabeled.bank_node_order == "degree"
-        assert relabeled.bank_dtype == "float64"
-        assert relabeled.variance_mode == index.variance_mode
-
-    def test_reserializing_an_attached_bank_keeps_its_order(
-            self, index, tmp_path):
-        relabeled = _reload(index, tmp_path, node_order="bfs")
-        arrays, meta = relabeled.bank_arrays()
-        assert meta["node_order"] == "bfs"
-        assert "node_order" in arrays
-
-    def test_permuted_fold_uses_the_gathered_rows(self, index, graph):
-        # white-box: row i of the permuted operators must be row
-        # node_order[i] of the plain ones, nonzeros copied verbatim
-        order = node_ordering(graph, "degree")
-        permuted = _BankOperators.permuted(index._operators, order)
-        plain = index._operators.spread_source
-        for row in (0, 1, graph.num_nodes - 1):
-            a = permuted.spread_source[row]
-            b = plain[order[row]]
-            assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.data, b.data)
-        assert permuted.tree_sum is index._operators.tree_sum
-
-
-class TestShardRestriction:
-    def test_ordered_parent_restricts_byte_identically(self, index,
-                                                       graph, tmp_path):
-        relabeled = _reload(index, tmp_path, node_order="degree")
-        local = np.arange(0, graph.num_nodes, 3)
-        plain_shard = index.restrict(local, shard_index=0, shard_count=3)
-        ordered_shard = relabeled.restrict(local, shard_index=0,
-                                           shard_count=3)
-        a, _ = plain_shard.bank_arrays()
-        b, _ = ordered_shard.bank_arrays()
-        assert set(a) == set(b)
-        for name in a:
-            assert a[name].dtype == b[name].dtype, name
-            assert np.array_equal(a[name], b[name]), name
-
-    def test_shard_bank_refuses_relabeling(self, index, graph):
-        shard = index.restrict(np.arange(0, graph.num_nodes, 2))
-        with pytest.raises(ConfigError, match="shard banks"):
-            shard.bank_arrays(node_order="degree")
-
-    def test_permuted_rejects_bad_sources(self, index, graph):
-        order = node_ordering(graph, "degree")
-        permuted = _BankOperators.permuted(index._operators, order)
-        with pytest.raises(ConfigError, match="already relabeled"):
-            _BankOperators.permuted(permuted, order)
-        with pytest.raises(ConfigError, match="permutation"):
-            _BankOperators.permuted(index._operators, order[:-1])
+    def test_manifest_keeps_the_identity_key(self, index):
+        arrays, meta = index.bank_arrays()
+        assert meta["node_order"] == "none"
+        assert "node_order" not in arrays
 
 
 class TestFloat32Bank:
     def test_answers_stay_within_the_documented_bound(self, index,
                                                       residuals,
                                                       tmp_path):
-        compact = _reload(index, tmp_path, node_order="degree",
-                          bank_dtype="float32")
+        compact = _reload(index, tmp_path, bank_dtype="float32")
         assert compact.bank_dtype == "float32"
         exact = index.estimate_source_many(residuals)
         rounded = compact.estimate_source_many(residuals)
@@ -213,7 +119,6 @@ class TestFloat32Bank:
 
     def test_dtype_constants_are_closed(self):
         assert BANK_DTYPES == ("float64", "float32")
-        assert NODE_ORDERS == ("none", "degree", "bfs")
 
 
 class TestBackCompat:
@@ -235,7 +140,6 @@ class TestBackCompat:
         self._save_as_version(index, path, version)
         loaded = ForestIndex.load_bank(path, index.graph)
         assert loaded.bank_dtype == "float64"
-        assert loaded.bank_node_order == "none"
         assert loaded.variance_mode == "improved"
         assert np.array_equal(index.estimate_source_many(residuals),
                               loaded.estimate_source_many(residuals))
@@ -245,18 +149,3 @@ class TestBackCompat:
         self._save_as_version(index, path, BANK_FORMAT_VERSION + 1)
         with pytest.raises(ConfigError, match="newer"):
             ForestIndex.load_bank(path, index.graph)
-
-
-class TestDirectedAndDynamicGuards:
-    def test_relabeled_bank_works_on_directed_graphs(self, tmp_path):
-        # the permutation is kind-agnostic; only variance modes care
-        # about directedness
-        rng = np.random.default_rng(5)
-        pairs = {(int(u), int(v)) for u, v in rng.integers(0, 20, (60, 2))
-                 if u != v}
-        graph = from_edges(sorted(pairs), directed=True, num_nodes=20)
-        index = ForestIndex.build(graph, 0.3, 3, rng=5)
-        relabeled = _reload(index, tmp_path, node_order="degree")
-        batch = np.random.default_rng(0).random((2, 20))
-        assert np.array_equal(index.estimate_source_many(batch),
-                              relabeled.estimate_source_many(batch))

@@ -158,23 +158,21 @@ class TestParser:
         args = build_parser().parse_args(
             ["index", "build", "youtube", "bank"])
         assert args.variance_mode == "improved"
-        assert args.node_order == "none"
         assert args.bank_dtype == "float64"
         args = build_parser().parse_args(
             ["index", "build", "youtube", "bank",
-             "--variance-mode", "stratified", "--node-order", "degree",
-             "--bank-dtype", "float32"])
+             "--variance-mode", "stratified", "--bank-dtype", "float32"])
         assert args.variance_mode == "stratified"
-        assert args.node_order == "degree"
         assert args.bank_dtype == "float32"
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["index", "build", "youtube", "bank",
-                 "--node-order", "hilbert"])
+                 "--bank-dtype", "float16"])
+        # bank rows are always node ids: there is no row-order option
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["index", "build", "youtube", "bank",
-                 "--bank-dtype", "float16"])
+                 "--node-order", "degree"])
 
     def test_serve_slo_flags(self):
         args = build_parser().parse_args(["serve"])
@@ -308,27 +306,6 @@ class TestCommands:
         index = ForestIndex.load_bank(bank, graph)
         assert index.num_forests == 3
 
-    def test_index_build_relabeled_is_byte_identical(self, capsys,
-                                                     tmp_path):
-        from repro.graph.datasets import load_dataset
-        from repro.montecarlo.forest_index import ForestIndex
-
-        plain, ordered = str(tmp_path / "plain"), str(tmp_path / "ordered")
-        base = ["index", "build", "youtube", "--scale", "0.05",
-                "--num-forests", "3", "--seed", "11"]
-        assert main(base[:3] + [plain] + base[3:]) == 0
-        assert main(base[:3] + [ordered] + base[3:]
-                    + ["--node-order", "degree"]) == 0
-        out = capsys.readouterr().out
-        assert "layout degree/float64" in out
-        graph = load_dataset("youtube", scale=0.05)
-        a = ForestIndex.load_bank(plain, graph)
-        b = ForestIndex.load_bank(ordered, graph)
-        assert b.bank_node_order == "degree"
-        residuals = np.eye(graph.num_nodes)[:2]
-        assert np.array_equal(a.estimate_source_many(residuals),
-                              b.estimate_source_many(residuals))
-
     def test_index_build_float32_records_dtype(self, capsys, tmp_path):
         bank = str(tmp_path / "bank")
         assert main(["index", "build", "youtube", bank, "--scale", "0.05",
@@ -354,7 +331,7 @@ class TestCommands:
         bank = str(tmp_path / "bank")
         assert main(["index", "build", "youtube", bank, "--scale", "0.05",
                      "--num-forests", "3", "--dynamic",
-                     "--node-order", "degree"]) == 2
+                     "--bank-dtype", "float32"]) == 2
         assert "error:" in capsys.readouterr().err
         assert main(["index", "build", "youtube", bank, "--scale", "0.05",
                      "--num-forests", "3", "--dynamic",
@@ -387,6 +364,34 @@ class TestCommands:
                      "--bank-dir", str(bank), "--dry-run"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert "dry run: config ok" not in captured.out
+
+    @pytest.mark.parametrize("case,serve_args,match", [
+        ("graph", ["--scale", "0.1", "--alpha", "0.1"], "nodes"),
+        ("alpha", ["--scale", "0.05", "--alpha", "0.2"], "alpha"),
+        ("relabeled", ["--scale", "0.05", "--alpha", "0.1"],
+         "relabeled.*repro index build"),
+    ])
+    def test_serve_bank_dir_dry_run_opens_the_bank_as_boot(
+            self, capsys, tmp_path, case, serve_args, match):
+        # a bank the real boot refuses fails the dry run with its error
+        from repro.parallel.shared_bank import load_array_bank
+        from tests.test_bank_layout import save_relabeled
+
+        bank = str(tmp_path / "bank")
+        assert main(["index", "build", "youtube", bank, "--scale", "0.05",
+                     "--alpha", "0.1", "--num-forests", "3",
+                     "--seed", "11"]) == 0
+        capsys.readouterr()
+        if case == "relabeled":
+            save_relabeled(*load_array_bank(bank, mmap=False),
+                           tmp_path / "relabeled")
+            bank = str(tmp_path / "relabeled")
+        assert main(["serve", "--graph", "youtube", *serve_args,
+                     "--bank-dir", bank, "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert re.search(match, captured.err)
         assert "dry run: config ok" not in captured.out
 
     def test_serve_bank_dir_rejects_dynamic(self, capsys):

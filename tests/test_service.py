@@ -395,9 +395,33 @@ class TestIndexManager:
         assert stats["memory_bytes"] == manager.memory_bytes()
         (bank_stats,) = stats["banks"].values()
         assert bank_stats["num_forests"] == 6
+        assert bank_stats["resident_bytes"] == manager.memory_bytes()
         manager.drop("test")
         assert manager.memory_bytes() == 0
         assert manager.stats()["banks"] == {}
+
+
+    def test_memory_counts_operators_forests_and_records(self, graph):
+        # a built bank holds its fold operators and its forests, beyond
+        # the Fig-6 footprint (roots + tree degree masses)
+        manager = self._manager(graph)
+        index = manager.warm("test")
+        operators = {id(array): array.nbytes for array
+                     in index._operators.to_arrays().values()}
+        forests = sum(forest.roots.nbytes + forest.parents.nbytes
+                      for forest in index.forests)
+        assert manager.memory_bytes() >= sum(operators.values()) + forests
+        assert manager.memory_bytes() > index.size_bytes
+        # a dynamic bank adds its arrow records on top
+        dynamic = IndexManager(manager.config, num_forests=6,
+                               dynamic=True)
+        dynamic.register_graph("test", graph)
+        repairable = dynamic.warm("test")
+        records = sum(record.indptr.nbytes + record.arrows.nbytes
+                      for record in repairable.records)
+        assert records > 0
+        assert dynamic.memory_bytes() == (
+            ForestIndex.resident_bytes.fget(repairable) + records)
 
 
 class TestIndexManagerBankDir:
@@ -425,16 +449,15 @@ class TestIndexManagerBankDir:
         assert np.array_equal(saved.estimate_source_many(residuals),
                               index.estimate_source_many(residuals))
 
-    def test_relabeled_bank_serves_identical_answers(self, graph,
-                                                     tmp_path):
-        saved, bank_dir = self._saved_bank(graph, tmp_path,
-                                           node_order="degree")
-        manager = self._manager(graph, bank_dir=bank_dir)
-        index = manager.get_index("test")
-        assert index.bank_node_order == "degree"
-        residuals = np.random.default_rng(1).random((2, graph.num_nodes))
-        assert np.array_equal(saved.estimate_source_many(residuals),
-                              index.estimate_source_many(residuals))
+    def test_relabeled_bank_refused(self, graph, tmp_path):
+        from tests.test_bank_layout import save_relabeled
+
+        saved, _ = self._saved_bank(graph, tmp_path)
+        save_relabeled(*saved.bank_arrays(), tmp_path / "relabeled")
+        manager = self._manager(graph,
+                                bank_dir=str(tmp_path / "relabeled"))
+        with pytest.raises(ConfigError, match="repro index build"):
+            manager.get_index("test")
 
     def test_refresh_resamples_instead_of_reloading(self, graph,
                                                     tmp_path):
@@ -451,6 +474,27 @@ class TestIndexManagerBankDir:
         manager = self._manager(graph, bank_dir=bank_dir)
         with pytest.raises(ConfigError, match="alpha"):
             manager.get_index("test", alpha=0.5)
+
+    def test_graph_mismatch_refused(self, graph, tmp_path):
+        # same node count, different edges: the degree checksum differs
+        _, bank_dir = self._saved_bank(graph, tmp_path)
+        other = erdos_renyi(graph.num_nodes, 0.02, rng=SEED + 1)
+        manager = self._manager(other, bank_dir=bank_dir)
+        with pytest.raises(ConfigError, match="different graph"):
+            manager.get_index("test")
+
+    def test_memory_is_the_attached_manifest_payload(self, graph,
+                                                     tmp_path):
+        from repro.parallel.shared_bank import bank_manifest
+
+        _, bank_dir = self._saved_bank(graph, tmp_path)
+        manager = self._manager(graph, bank_dir=bank_dir)
+        manager.warm("test")
+        payload = sum(spec["nbytes"] for spec
+                      in bank_manifest(bank_dir)["arrays"].values())
+        assert manager.memory_bytes() == payload
+        (bank_stats,) = manager.stats()["banks"].values()
+        assert bank_stats["resident_bytes"] == payload
 
     def test_bank_dir_rejects_dynamic(self, graph, tmp_path):
         _, bank_dir = self._saved_bank(graph, tmp_path)

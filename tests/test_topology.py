@@ -4,7 +4,7 @@ The forest bank is query-independent, so every way of serving it must
 return the same answer bytes.  Each cell of the matrix
 
     {thread, process × 1 shard, process × 2 shards}
-        × {bank built at boot, degree-ordered bank loaded from disk}
+        × {bank built at boot, the same bank saved and loaded from disk}
 
 boots the golden service of ``test_service.TestRequestPathGolden`` in
 that topology, replays its ``CASES`` over real HTTP, and requires every
@@ -47,13 +47,12 @@ def _segments() -> set[str]:
 
 
 @pytest.fixture(scope="module")
-def degree_bank(tmp_path_factory) -> str:
-    """The golden service's boot bank, saved degree-relabeled."""
+def saved_bank(tmp_path_factory) -> str:
+    """The golden service's boot bank, saved to disk."""
     service = GOLDEN.serve()
     try:
-        path = tmp_path_factory.mktemp("topology") / "degree_bank"
-        service.index_manager.get_index("golden").save_bank(
-            path, node_order="degree")
+        path = tmp_path_factory.mktemp("topology") / "bank"
+        service.index_manager.get_index("golden").save_bank(path)
     finally:
         service.stop()
     return str(path)
@@ -67,12 +66,12 @@ def golden() -> list[tuple[str, int, str]]:
             for record in records]
 
 
-@pytest.mark.parametrize("bank", ["boot", "degree_bank_dir"])
+@pytest.mark.parametrize("bank", ["boot", "bank_dir"])
 @pytest.mark.parametrize("topology", list(TOPOLOGIES))
 def test_topology_reproduces_golden(topology, bank, golden, request):
     overrides = dict(TOPOLOGIES[topology], workers=1)
-    if bank == "degree_bank_dir":
-        overrides["bank_dir"] = request.getfixturevalue("degree_bank")
+    if bank == "bank_dir":
+        overrides["bank_dir"] = request.getfixturevalue("saved_bank")
     before = _segments()
     service = GOLDEN.serve(**overrides)
     try:
@@ -83,8 +82,8 @@ def test_topology_reproduces_golden(topology, bank, golden, request):
     finally:
         service.stop()
     assert served == golden
-    assert index.bank_node_order == (
-        "degree" if bank == "degree_bank_dir" else "none")
+    # a preloaded bank is attached operators, with no forest objects
+    assert (not index.forests) == (bank == "bank_dir")
     assert layout == {"thread": "thread", "process-1shard": "process",
                       "process-2shards": "sharded"}[topology]
     assert _segments() - before == set()
