@@ -34,7 +34,8 @@ the package is a different source over the same loop:
 - :mod:`repro.forests.batch_sampling` — the same draw, plain or
   Latin-hypercube stratified, over a virtual union of graph copies;
 - :mod:`repro.forests.repair` — replay of recorded stacks, extended
-  with fresh draws.
+  with fresh draws, over the nodes a graph change can reach (the rest
+  are passed in as already settled).
 
 The expected number of rounds is small in practice: after the first
 pass only nodes on bad cycles survive, and each of those stops with
@@ -81,8 +82,9 @@ def fresh_arrows(graph: Graph, alpha: float, nodes: np.ndarray,
 
 
 def pop_cycles(size: int, draw: ArrowSource,
-               max_rounds: int = 10_000_000
-               ) -> tuple[np.ndarray, np.ndarray, int]:
+               max_rounds: int = 10_000_000,
+               settled: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+               = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Cycle-pop a functional graph on ``size`` nodes until it is a forest.
 
     ``draw(active)`` returns the next arrow of every node in ``active``
@@ -90,6 +92,12 @@ def pop_cycles(size: int, draw: ArrowSource,
     ``active[i]`` a root, and then ``targets[i]`` must be ``active[i]``.
     It is called first with every node, then with the nodes of each
     round's popped cycles.
+
+    ``settled = (roots, parents, active)`` pops only the sorted node
+    set ``active``: every other node keeps its ``parents`` entry and
+    its root from ``roots`` (an earlier forest, whose chains outside
+    ``active`` must avoid ``active``), and the first call draws
+    ``active`` alone.  The inputs are not modified.
 
     Returns ``(roots, parents, steps)``: each node's root, each node's
     parent (``-1`` at roots), and the number of arrows drawn.
@@ -108,11 +116,18 @@ def pop_cycles(size: int, draw: ArrowSource,
     They are marked in a boolean mask over ``T`` (sorted because ``T``
     is) and redrawn next round.
     """
-    parents = np.empty(size, dtype=np.int64)   # each node's top arrow
-    is_root = np.zeros(size, dtype=bool)
-    roots = np.full(size, -1, dtype=np.int64)  # -1 until settled
+    if settled is None:
+        parents = np.empty(size, dtype=np.int64)   # each node's top arrow
+        is_root = np.zeros(size, dtype=bool)
+        roots = np.full(size, -1, dtype=np.int64)  # -1 until settled
+        active = np.arange(size)  # nodes whose arrows must be (re)drawn
+    else:
+        old_roots, old_parents, active = settled
+        parents = old_parents.copy()
+        is_root = parents < 0
+        roots = old_roots.copy()
+        roots[active] = -1
     local = np.empty(size, dtype=np.int64)     # position in `trapped`
-    active = np.arange(size)    # nodes whose arrows must be (re)drawn
     trapped = active            # nodes not yet proven to reach a root
     steps = 0
 

@@ -5,10 +5,12 @@
 records of :mod:`repro.forests.repair`.  At build time every forest's
 consumed stack prefix is kept alongside it; when the graph mutates
 (:class:`~repro.graph.delta.GraphDelta`), :meth:`mutated` produces a
-*new* index over the new graph by replaying the surviving records and
-drawing fresh arrows only where mutations invalidated them — exact in
-distribution, and typically orders of magnitude fewer fresh draws than
-a full rebuild (the ``repair_*`` counters prove it per call).
+*new* index over the new graph by re-popping, in each forest, only the
+nodes whose consumed arrows reach the changed rows — exact in
+distribution, and typically orders of magnitude fewer draws than a
+full rebuild (the ``repair_*`` counters prove it per call).  Unchanged
+record rows and forest arrays of the old generation are never
+written, so it keeps serving while the new one is built.
 
 Mutation returns a new object rather than editing in place so the
 serving layer's atomic generation swap keeps working: in-flight queries
@@ -58,6 +60,9 @@ class DynamicForestIndex(ForestIndex):
     records:
         One :class:`~repro.forests.repair.ForestRecord` per stored
         forest — the replayable arrow stacks.
+    repaired_nodes:
+        Nodes re-popped, summed over the forests, by the repair that
+        produced this index (0 for a build or a load).
     """
 
     def __init__(self, graph: Graph, alpha: float,
@@ -68,6 +73,7 @@ class DynamicForestIndex(ForestIndex):
             raise ConfigError(
                 f"{len(forests)} forests but {len(records)} records")
         self.records = records
+        self.repaired_nodes = 0
 
     @classmethod
     def build(cls, graph: Graph, alpha: float, num_forests: int,
@@ -123,8 +129,7 @@ class DynamicForestIndex(ForestIndex):
     def resident_bytes(self) -> int:
         """:attr:`ForestIndex.resident_bytes` plus the arrow records."""
         return super().resident_bytes + sum(
-            record.indptr.nbytes + record.arrows.nbytes
-            for record in self.records)
+            record.nbytes for record in self.records)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -138,9 +143,10 @@ class DynamicForestIndex(ForestIndex):
         Returns ``(new_index, repair_counters)``.  ``self`` is left
         untouched (old generation keeps serving until swapped out).
         The counters carry ``repair_fresh_steps`` — the only sampling
-        work actually paid — alongside the replayed-read and
-        dirty-node tallies; compare against a fresh build's
-        ``walk_steps`` for the repair-vs-rebuild bound.
+        work actually paid — alongside the closure's record reads and
+        the dirty-node tally; compare against a fresh build's
+        ``walk_steps`` for the repair-vs-rebuild bound.  The new
+        index's :attr:`repaired_nodes` sums the closure sizes.
 
         ``graph`` is ``delta.apply(self.graph)`` when the caller has
         already computed it; the new index then shares that object
@@ -154,10 +160,10 @@ class DynamicForestIndex(ForestIndex):
         started = time.perf_counter()
         forests: list[RootedForest] = []
         records: list[ForestRecord] = []
-        for record in self.records:
+        for forest, record in zip(self.forests, self.records):
             forest, new_record = repair_forest(
-                new_graph, self.alpha, record, dirty, rng=generator,
-                counters=counters)
+                new_graph, self.alpha, forest, record, dirty,
+                rng=generator, counters=counters)
             forests.append(forest)
             records.append(new_record)
         for forest in forests:
@@ -166,6 +172,7 @@ class DynamicForestIndex(ForestIndex):
             new_graph, self.alpha, forests,
             build_seconds=time.perf_counter() - started,
             records=records)
+        index.repaired_nodes = sum(record.repopped for record in records)
         # cumulative construction cost: the original build plus every
         # repair so far (repairs add only repair_* work, no walk steps)
         index.build_counters = (WorkCounters() + self.build_counters
@@ -186,8 +193,9 @@ class DynamicForestIndex(ForestIndex):
         from repro.parallel.shared_bank import save_array_bank
 
         graph = self.graph
+        rows = [record.csr() for record in self.records]
         record_offsets = np.concatenate(
-            ([0], np.cumsum([record.num_arrows for record in self.records],
+            ([0], np.cumsum([arrows.size for _, arrows in rows],
                             dtype=np.int64)))
         arrays = {
             "graph_indptr": graph.indptr,
@@ -197,12 +205,13 @@ class DynamicForestIndex(ForestIndex):
             "steps": np.asarray([forest.num_steps
                                  for forest in self.forests],
                                 dtype=np.int64),
-            "record_indptr": np.stack([record.indptr
-                                       for record in self.records]),
-            "record_arrows": (
-                np.concatenate([record.arrows for record in self.records])
-                if record_offsets[-1] else np.empty(0, dtype=np.int64)),
+            "record_indptr": np.stack([indptr for indptr, _ in rows]),
+            "record_arrows": np.concatenate(
+                [arrows for _, arrows in rows]).astype(np.int64),
             "record_offsets": record_offsets,
+            "record_consumed": np.stack(
+                [record.consumed for record in self.records]
+                ).astype(np.int64),
         }
         if graph.weights is not None:
             arrays["graph_weights"] = graph.weights
@@ -254,11 +263,14 @@ class DynamicForestIndex(ForestIndex):
                 arrays["roots"], arrays["parents"], arrays["steps"])]
         offsets = arrays["record_offsets"]
         flat = arrays["record_arrows"]
+        # banks saved before consumed counts were kept: every recorded
+        # arrow counts as consumed, a closed superset (docs/THEORY.md)
+        consumed = arrays.get("record_consumed",
+                              [None] * len(arrays["record_indptr"]))
         records = [
-            ForestRecord(
-                indptr=np.ascontiguousarray(indptr),
-                arrows=np.ascontiguousarray(
-                    flat[int(offsets[i]):int(offsets[i + 1])]))
+            ForestRecord.from_csr(
+                indptr, flat[int(offsets[i]):int(offsets[i + 1])],
+                consumed[i])
             for i, indptr in enumerate(arrays["record_indptr"])]
         index = cls(graph, float(meta["alpha"]), forests,
                     build_seconds=float(meta.get("build_seconds", 0.0)),

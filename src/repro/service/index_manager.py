@@ -385,9 +385,11 @@ class IndexManager:
             generation = entry.generation + 1
             seed = self._build_seed(name, alpha, generation)
             if isinstance(entry.index, DynamicForestIndex):
-                with span.child("repair"):
+                with span.child("repair") as repair_span:
                     index, repair_work = entry.index.mutated(
                         delta, rng=seed, graph=new_graph)
+                    repair_span.annotate(
+                        repaired_nodes=index.repaired_nodes)
                 counters.merge(repair_work)
                 repaired_flags[key] = True
             else:

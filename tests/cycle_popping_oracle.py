@@ -7,7 +7,8 @@ production :func:`repro.forests.cycle_popping.pop_cycles` doubles a
 compact local map and marks the popped set in a boolean mask;
 ``tests/test_forest_samplers.py`` asserts both return the same
 ``(roots, parents, steps)`` and ask the arrow source for the same
-nodes in the same order.
+nodes in the same order, also when popping a node set against an
+already settled rest (``settled``).
 """
 
 import numpy as np
@@ -15,12 +16,18 @@ import numpy as np
 from repro.exceptions import ConvergenceError
 
 
-def global_pop_cycles(size, draw, max_rounds=10_000_000):
-    next_node = np.empty(size, dtype=np.int64)
-    is_root = np.zeros(size, dtype=bool)
-    # short[u]: u's root once settled (a fixed point), else its arrow
-    short = np.empty(size, dtype=np.int64)
-    active = np.arange(size)
+def global_pop_cycles(size, draw, max_rounds=10_000_000, settled=None):
+    if settled is None:
+        next_node = np.empty(size, dtype=np.int64)
+        is_root = np.zeros(size, dtype=bool)
+        # short[u]: u's root once settled (a fixed point), else its arrow
+        short = np.empty(size, dtype=np.int64)
+        active = np.arange(size)
+    else:
+        roots, parents, active = settled
+        is_root = parents < 0
+        next_node = np.where(is_root, np.arange(size), parents)
+        short = roots.copy()
     trapped = active
     steps = 0
     for _ in range(max_rounds):

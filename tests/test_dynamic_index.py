@@ -139,8 +139,76 @@ class TestDynamicBank:
             assert np.array_equal(a.roots, b.roots)
             assert np.array_equal(a.parents, b.parents)
         for a, b in zip(index.records, loaded.records):
-            assert np.array_equal(a.indptr, b.indptr)
-            assert np.array_equal(a.arrows, b.arrows)
+            for mine, theirs in zip(a.csr(), b.csr()):
+                assert np.array_equal(mine, theirs)
+            assert np.array_equal(a.consumed, b.consumed)
+
+    def test_round_trip_keeps_consumed_counts(self, graph, tmp_path):
+        """After repairs a record's rows run past its consumed counts;
+        the artifact carries both."""
+        index = DynamicForestIndex.build(graph, ALPHA, 4, rng=9)
+        for step in range(6):
+            index, _ = index.mutated(
+                GraphDelta().upsert_edge(step, 39 - step, 2.0), rng=step)
+        assert any((record.lengths > record.consumed).any()
+                   for record in index.records)
+        index.save_dynamic_bank(tmp_path / "bank")
+        loaded = DynamicForestIndex.load_dynamic_bank(tmp_path / "bank")
+        for a, b in zip(index.records, loaded.records):
+            for mine, theirs in zip(a.csr(), b.csr()):
+                assert np.array_equal(mine, theirs)
+            assert np.array_equal(a.consumed, b.consumed)
+        for a, b in zip(index.forests, loaded.forests):
+            assert np.array_equal(a.roots, b.roots)
+
+    @staticmethod
+    def _without_consumed(path):
+        """Rewrite a saved bank in the layout used before consumed
+        counts were stored."""
+        from repro.parallel.shared_bank import (
+            load_array_bank,
+            save_array_bank,
+        )
+
+        arrays, meta = load_array_bank(path, mmap=False)
+        del arrays["record_consumed"]
+        save_array_bank(path, arrays, meta)
+
+    def test_bank_without_consumed_counts_loads_and_repairs(
+            self, graph, tmp_path):
+        index = DynamicForestIndex.build(graph, ALPHA, 4, rng=9)
+        for step in range(6):
+            index, _ = index.mutated(
+                GraphDelta().upsert_edge(step, 39 - step, 2.0), rng=step)
+        path = tmp_path / "bank"
+        index.save_dynamic_bank(path)
+        self._without_consumed(path)
+        loaded = DynamicForestIndex.load_dynamic_bank(path)
+        for record in loaded.records:
+            assert np.array_equal(record.consumed, record.lengths)
+        delta = GraphDelta().upsert_edge(3, 17, 1.5)
+        mutated, work = loaded.mutated(delta, rng=4)
+        assert work.repair_fresh_steps > 0
+        for forest in mutated.forests:
+            forest.validate()
+            for node, parent in enumerate(forest.parents):
+                if parent >= 0:
+                    lo = mutated.graph.indptr[node]
+                    hi = mutated.graph.indptr[node + 1]
+                    assert parent in mutated.graph.indices[lo:hi]
+
+    def test_cli_mutates_bank_without_consumed_counts(self, graph,
+                                                      tmp_path, capsys):
+        from repro.cli import main
+
+        index = DynamicForestIndex.build(graph, ALPHA, 3, rng=9)
+        path = tmp_path / "bank"
+        index.save_dynamic_bank(path)
+        self._without_consumed(path)
+        assert main(["index", "mutate", str(path), "--add", "0:21"]) == 0
+        assert "mutated bank: 1 ops" in capsys.readouterr().out
+        again = DynamicForestIndex.load_dynamic_bank(path)
+        assert again.graph.num_edges == graph.num_edges + 1
 
     def test_loaded_bank_still_mutates(self, graph, tmp_path):
         index = DynamicForestIndex.build(graph, ALPHA, 4, rng=9)
@@ -188,6 +256,28 @@ class TestIndexManagerMutate:
         # the registered graph was swapped
         new_graph = manager.graph("g")
         assert new_graph is not graph
+
+    def test_repair_span_carries_closure_size(self, graph):
+        from repro.obs.tracing import Tracer
+
+        config = ServiceConfig(graph="g", alpha=ALPHA, seed=SEED,
+                               budget_scale=0.05).ppr_config()
+        tracer = Tracer(0.0)
+        manager = IndexManager(config, num_forests=6, dynamic=True,
+                               tracer=tracer)
+        manager.register_graph("g", graph)
+        manager.warm("g", ALPHA)
+        manager.mutate("g", GraphDelta().upsert_edge(0, 20, 2.0))
+        tree = tracer.traces()[-1]
+        assert tree["name"] == "index_mutate"
+        repair = [child for child in tree["children"]
+                  if child["name"] == "repair"]
+        assert len(repair) == 1
+        repaired = repair[0]["attrs"]["repaired_nodes"]
+        index = manager.get_index("g", ALPHA)
+        assert repaired == index.repaired_nodes
+        # both endpoints in each of the 6 forests, far from all nodes
+        assert 12 <= repaired < 6 * graph.num_nodes
 
     def test_static_manager_rebuilds(self, graph):
         manager = self._manager(graph, dynamic=False)

@@ -317,11 +317,11 @@ class TestPopCyclesOracle:
         logging every node set the arrow source is asked for."""
         calls = []
 
-        def logged(size, draw, max_rounds=10_000_000):
+        def logged(size, draw, max_rounds=10_000_000, settled=None):
             def logged_draw(active):
                 calls.append(active.copy())
                 return draw(active)
-            return loop(size, logged_draw, max_rounds)
+            return loop(size, logged_draw, max_rounds, settled)
 
         with monkeypatch.context() as patch:
             patch.setattr(module, "pop_cycles", logged)
@@ -386,14 +386,15 @@ class TestPopCyclesOracle:
             delta = GraphDelta().upsert_edge(1, 40, 2.5)
             new_graph = delta.apply(graph)
             for seed in self.SEEDS:
-                _, record = module.sample_forest_recorded(graph, alpha,
-                                                          rng=seed)
+                forest, record = module.sample_forest_recorded(
+                    graph, alpha, rng=seed)
                 produced, expected = self._assert_same(
                     monkeypatch, module,
                     lambda: module.repair_forest(
-                        new_graph, alpha, record, delta.touched_nodes(),
-                        rng=seed + 10))
-                assert np.array_equal(produced[1].indptr,
-                                      expected[1].indptr)
-                assert np.array_equal(produced[1].arrows,
-                                      expected[1].arrows)
+                        new_graph, alpha, forest, record,
+                        delta.touched_nodes(), rng=seed + 10))
+                for mine, theirs in zip(produced[1].csr(),
+                                        expected[1].csr()):
+                    assert np.array_equal(mine, theirs)
+                assert np.array_equal(produced[1].consumed,
+                                      expected[1].consumed)

@@ -55,8 +55,8 @@ def _digest(forests) -> str:
 
 def _record_digest(record) -> str:
     hasher = hashlib.sha256()
-    hasher.update(np.asarray(record.indptr, dtype=np.int64).tobytes())
-    hasher.update(np.asarray(record.arrows, dtype=np.int64).tobytes())
+    for array in record.csr():
+        hasher.update(np.asarray(array, dtype=np.int64).tobytes())
     return hasher.hexdigest()[:16]
 
 
@@ -73,10 +73,11 @@ def _run(sampler: str, graph):
         forest, record = sample_forest_recorded(graph, ALPHA, rng=SEED)
         return [forest], record
     assert sampler == "repair"
-    _, record = sample_forest_recorded(graph, ALPHA, rng=SEED)
+    forest, record = sample_forest_recorded(graph, ALPHA, rng=SEED)
     delta = GraphDelta().upsert_edge(*UPSERT)
-    forest, record = repair_forest(delta.apply(graph), ALPHA, record,
-                                   delta.touched_nodes(), rng=SEED + 1)
+    forest, record = repair_forest(delta.apply(graph), ALPHA, forest,
+                                   record, delta.touched_nodes(),
+                                   rng=SEED + 1)
     return [forest], record
 
 

@@ -417,8 +417,7 @@ class TestIndexManager:
                                dynamic=True)
         dynamic.register_graph("test", graph)
         repairable = dynamic.warm("test")
-        records = sum(record.indptr.nbytes + record.arrows.nbytes
-                      for record in repairable.records)
+        records = sum(record.nbytes for record in repairable.records)
         assert records > 0
         assert dynamic.memory_bytes() == (
             ForestIndex.resident_bytes.fget(repairable) + records)

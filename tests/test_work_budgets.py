@@ -29,7 +29,9 @@ from repro.core.batch import BatchSourceSolver
 from repro.core.config import PPRConfig
 from repro.core.topk import BatchTopKSolver
 from repro.counters import WorkCounters
+from repro.graph import GraphDelta
 from repro.graph.generators import chung_lu
+from repro.montecarlo import DynamicForestIndex
 from repro.obs.slo import SLOEngine, default_specs
 from repro.obs.timeseries import TimeSeriesStore
 from repro.parallel import parallel_estimate_stage, sample_forests_parallel
@@ -42,6 +44,8 @@ SEED = 2022
 ALPHA = 0.1
 GRAPH_NODES = 4000
 BATCH = list(range(16))
+#: the edge upserted into the dynamic bank
+REPAIR_EDGE = (1, 2000)
 TOPK_K = 5
 
 #: A kernel may do at most this multiple of its committed work.
@@ -64,6 +68,9 @@ WORK_BUDGETS = {
     "backlv_query": {
         "cycle_pops": 20107, "forests_sampled": 28, "push_sweeps": 7,
         "pushes": 36, "strata": 8510, "walk_steps": 132107},
+    "dynamic_repair_single_edge": {
+        "repair_dirty_nodes": 32, "repair_fresh_steps": 42,
+        "repair_replayed_steps": 215},
     "service_bank_16": {
         "cycle_pops": 11499, "forests_sampled": 16, "walk_steps": 75499},
     "service_query_many_16": {"push_sweeps": 219, "pushes": 10980},
@@ -147,6 +154,14 @@ def kernels(graph):
     # the flagship queries run stratified: ω is discounted by the
     # measured variance gain (the cut the variance floor checks)
     runs.update(_flagship(graph, "stratified"))
+
+    # one edge written into a 16-forest dynamic bank: the repair
+    # re-pops only the nodes whose consumed arrows reach the endpoints
+    # (a full replay would read all ~75k recorded arrows)
+    dynamic = DynamicForestIndex.build(graph, ALPHA, 16, rng=SEED)
+    _, repair = dynamic.mutated(
+        GraphDelta().upsert_edge(*REPAIR_EDGE, 1.0), rng=SEED)
+    runs["dynamic_repair_single_edge"] = repair.as_dict()
 
     # the serving fold: one shared bank, a whole micro-batch; the bank
     # build is its own kernel, as it is paid once per running service
