@@ -127,17 +127,15 @@ class _BatchSolverBase:
         return self._closed
 
     def close(self) -> None:
-        """Release the forest bank (if owned) and refuse further queries.
+        """Drop the forest bank and refuse further queries.
 
-        Idempotent.  A solver built around an injected ``index=`` only
-        drops its reference — the shared bank stays valid for every
-        other solver borrowing it.
+        Idempotent.  An owned bank is freed with the last reference; an
+        injected ``index=`` stays valid for every other solver
+        borrowing it.
         """
         if self._closed:
             return
         self._closed = True
-        if self._owns_index:
-            self.index.forests.clear()
         self.index = None  # type: ignore[assignment]
 
     def __enter__(self):

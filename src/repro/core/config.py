@@ -69,7 +69,10 @@ class PPRConfig:
     ``workers`` sets the process count for the chunked forest
     Monte-Carlo stage (:mod:`repro.parallel.engine`): ``1`` runs
     serially, ``0``/``None`` uses the cpu count.  For a fixed ``seed``
-    the estimates are bit-identical for every ``workers`` value.
+    the estimates are bit-identical for every ``workers`` value.  A
+    forest *index* built with ``workers=1`` is the exception: it draws
+    one serial stream instead of the engine's chunk streams (see
+    :meth:`~repro.montecarlo.forest_index.ForestIndex.build`).
 
     ``variance_mode`` picks the variance-reduction machinery of the
     forest stage (see :data:`VARIANCE_MODES`).  Modes with a measured

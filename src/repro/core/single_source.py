@@ -358,6 +358,10 @@ def _check_index(index, graph: Graph, config: PPRConfig,
         raise ConfigError(
             f"{name}: index was built for alpha={index.alpha}, "
             f"query uses alpha={config.alpha}")
+    if getattr(index, "local_nodes", None) is not None:
+        raise ConfigError(
+            f"{name}: index is restricted to one shard's rows; query "
+            f"the whole-space bank")
 
 
 def fora_plus(graph: Graph, source: int, index: WalkIndex,
@@ -407,7 +411,11 @@ def speedppr_plus(graph: Graph, source: int, index: WalkIndex,
 
 def foralv_plus(graph: Graph, source: int, index: ForestIndex,
                 config: PPRConfig | None = None) -> PPRResult:
-    """FORALV+: balanced forward push + precomputed spanning forests."""
+    """FORALV+: balanced forward push + precomputed spanning forests.
+
+    The bank folds with the improved estimator; on a directed graph,
+    where that estimator is biased, with the basic one, as the batch
+    solvers do."""
     config, rng = _prepare(graph, source, config)
     _check_index(index, graph, config, ForestIndex, "foralv_plus")
     r_max = config.r_max
@@ -416,7 +424,8 @@ def foralv_plus(graph: Graph, source: int, index: ForestIndex,
     t0 = time.perf_counter()
     push = balanced_forward_push(graph, source, config.alpha, r_max)
     t1 = time.perf_counter()
-    mc = index.estimate_source(push.residual, improved=True)
+    mc = index.estimate_source_many(push.residual,
+                                    improved=not graph.directed)[0]
     t2 = time.perf_counter()
     stats = _merge_work({"r_max": r_max, "num_pushes": push.num_pushes,
                          "push_work": push.work, "push_seconds": t1 - t0,
@@ -429,14 +438,16 @@ def foralv_plus(graph: Graph, source: int, index: ForestIndex,
 def speedlv_plus(graph: Graph, source: int, index: ForestIndex,
                  config: PPRConfig | None = None) -> PPRResult:
     """SPEEDLV+: power push + precomputed spanning forests — the
-    paper's best indexed single-source algorithm."""
+    paper's best indexed single-source algorithm.  Folds as
+    :func:`foralv_plus` does."""
     config, _ = _prepare(graph, source, config)
     _check_index(index, graph, config, ForestIndex, "speedlv_plus")
     target = _residual_target(graph, config)
     t0 = time.perf_counter()
     push = power_push(graph, source, config.alpha, target)
     t1 = time.perf_counter()
-    mc = index.estimate_source(push.residual, improved=True)
+    mc = index.estimate_source_many(push.residual,
+                                    improved=not graph.directed)[0]
     t2 = time.perf_counter()
     stats = _merge_work({"residual_target": target,
                          "num_pushes": push.num_pushes,

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.config import PPRConfig
 from repro.core.result import PPRResult
+from repro.core.single_source import _check_index
 from repro.counters import WorkCounters
 from repro.exceptions import ConfigError
 from repro.forests.estimators import accumulate_estimates
@@ -197,20 +198,20 @@ def backlv_plus(graph: Graph, target: int, index: ForestIndex,
     """BACKLV with a prebuilt forest index instead of online sampling.
 
     Not benchmarked in the paper but an immediate corollary of §5.3;
-    provided for applications issuing many target queries.
+    provided for applications issuing many target queries.  On a
+    directed graph the bank folds with the basic estimator (BACKL's),
+    as the batch solvers do: the improved one is biased there.
     """
     config, rng = _prepare(graph, target, config)
-    if not isinstance(index, ForestIndex):
-        raise ConfigError("backlv_plus requires a ForestIndex")
-    if index.graph is not graph or not np.isclose(index.alpha, config.alpha):
-        raise ConfigError("index does not match this graph/alpha")
+    _check_index(index, graph, config, ForestIndex, "backlv_plus")
     r_max = config.r_max
     if r_max is None:
         r_max, _ = _two_stage_r_max(graph, target, config, rng)
     t0 = time.perf_counter()
     push = backward_push(graph, target, config.alpha, r_max)
     t1 = time.perf_counter()
-    mc = index.estimate_target(push.residual, improved=True)
+    mc = index.estimate_target_many(push.residual,
+                                    improved=not graph.directed)[0]
     t2 = time.perf_counter()
     stats = {"r_max": r_max, "num_pushes": push.num_pushes,
              "push_work": push.work, "push_seconds": t1 - t0,

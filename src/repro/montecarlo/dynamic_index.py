@@ -20,6 +20,9 @@ retires when released.
 The estimator/serving surface is inherited unchanged — a dynamic index
 folds queries exactly like a static one, and the operator bank it
 publishes to worker processes is the ordinary ``forest-index`` kind.
+Unlike a static index it keeps its forests (repair re-pops them), and
+it builds its fold operators on first use — :meth:`prepare_fold`, which
+the serving layer times as its own step of a write.
 Only the *persistence* form differs: :meth:`save_dynamic_bank` stores
 graph + forests + records (everything a later ``repro index mutate``
 needs), under its own bank kind so the two artifact types cannot be
@@ -43,7 +46,11 @@ from repro.forests.repair import (
 )
 from repro.graph.csr import Graph
 from repro.graph.delta import GraphDelta
-from repro.montecarlo.forest_index import ForestIndex, degree_checksum
+from repro.montecarlo.forest_index import (
+    ForestIndex,
+    _BankOperators,
+    degree_checksum,
+)
 from repro.rng import ensure_rng
 
 __all__ = ["DynamicForestIndex", "DYNAMIC_BANK_KIND"]
@@ -57,6 +64,8 @@ class DynamicForestIndex(ForestIndex):
 
     Attributes
     ----------
+    forests:
+        The stored :class:`~repro.forests.forest.RootedForest` objects.
     records:
         One :class:`~repro.forests.repair.ForestRecord` per stored
         forest — the replayable arrow stacks.
@@ -67,11 +76,21 @@ class DynamicForestIndex(ForestIndex):
 
     def __init__(self, graph: Graph, alpha: float,
                  forests: list[RootedForest], build_seconds: float, *,
-                 records: list[ForestRecord], **kwargs):
-        super().__init__(graph, alpha, forests, build_seconds, **kwargs)
+                 records: list[ForestRecord],
+                 build_steps: int | None = None):
         if len(records) != len(forests):
             raise ConfigError(
                 f"{len(forests)} forests but {len(records)} records")
+        steps = (sum(forest.num_steps for forest in forests)
+                 if build_steps is None else int(build_steps))
+        super().__init__(
+            graph, alpha, None, num_forests=len(forests),
+            build_seconds=build_seconds, build_steps=steps,
+            build_counters=WorkCounters(
+                walk_steps=steps,
+                cycle_pops=sum(forest.num_pops for forest in forests),
+                forests_sampled=len(forests)))
+        self.forests = forests
         self.records = records
         self.repaired_nodes = 0
 
@@ -126,9 +145,21 @@ class DynamicForestIndex(ForestIndex):
         return sum(record.num_arrows for record in self.records)
 
     @property
+    def _operators(self) -> _BankOperators:
+        """The fold operators, built from the forests on first use."""
+        if self._ops is None:
+            self._ops = _BankOperators(self.forests, self.graph.degrees)
+        return self._ops
+
+    @property
     def resident_bytes(self) -> int:
-        """:attr:`ForestIndex.resident_bytes` plus the arrow records."""
-        return super().resident_bytes + sum(
+        """:attr:`ForestIndex.resident_bytes` plus each forest's roots,
+        parents and degree masses and the arrow records."""
+        forests = sum(forest.roots.nbytes + forest.parents.nbytes
+                      + forest.component_degree_mass(
+                          self.graph.degrees).nbytes
+                      for forest in self.forests)
+        return super().resident_bytes + forests + sum(
             record.nbytes for record in self.records)
 
     # ------------------------------------------------------------------

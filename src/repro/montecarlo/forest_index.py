@@ -2,13 +2,15 @@ r"""Precomputed spanning-forest index (FORALV+ / SPEEDLV+, §5.3).
 
 One sampled forest provides, for *every* node simultaneously, one
 "rooted-in" observation — the reason the paper needs only ``O(log n)``
-forests where the walk indexes need ``O(n log n)`` walks.  The index
-stores per forest:
+forests where the walk indexes need ``O(n log n)`` walks.  What the
+fold reads of each forest is:
 
-- the ``roots`` array (root label per node), and
-- the per-tree degree mass ``Σ_{u∈tree} d_u`` (so the improved,
+- the tree of every node (its root label), and
+- each tree's degree mass ``Σ_{u∈tree} d_u`` (so the improved,
   variance-reduced estimator can run without touching the graph).
 
+The index holds exactly that, as the whole bank's CSR fold operators
+(:class:`_BankOperators`); the forests are dropped once those exist.
 Space is ``O(n)`` per forest — ``O(n log n)`` total, matching
 SPEEDPPR+ (Fig. 6) — while construction costs only
 ``num_forests · τ`` walk steps instead of ``Σ_u d_u / α`` (Fig. 5's
@@ -25,12 +27,6 @@ import numpy as np
 
 from repro.counters import WorkCounters
 from repro.exceptions import ConfigError
-from repro.forests.estimators import (
-    source_estimate_basic,
-    source_estimate_improved,
-    target_estimate_basic,
-    target_estimate_improved,
-)
 from repro.forests.forest import RootedForest
 from repro.forests.sampling import sample_forests
 from repro.graph.csr import Graph
@@ -127,11 +123,10 @@ def _transposed(matrix):
 def degree_checksum(graph: Graph) -> int:
     """CRC-32 of the graph's weighted degree vector.
 
-    Saved inside every index artifact so :meth:`ForestIndex.load` /
-    :meth:`ForestIndex.load_bank` can refuse an index built for a
-    *different* graph of the same size — silently folding foreign
-    roots over the wrong degrees produces garbage estimates with no
-    error anywhere downstream.
+    Saved inside every index artifact so :meth:`ForestIndex.load_bank`
+    can refuse an index built for a *different* graph of the same
+    size — silently folding foreign roots over the wrong degrees
+    produces garbage estimates with no error anywhere downstream.
     """
     return zlib.crc32(np.ascontiguousarray(
         graph.degrees, dtype=np.float64).tobytes())
@@ -379,67 +374,80 @@ class _BankOperators:
 
 
 class ForestIndex:
-    """A bank of presampled rooted spanning forests.
+    """A bank of presampled rooted spanning forests, held as the fold
+    operators they define.
+
+    Every index is the same object however it came to be — sampled by
+    :meth:`build`, attached to saved or shared arrays by
+    :meth:`attach_bank` / :meth:`load_bank`, or cut to one shard's
+    rows by :meth:`restrict`: the five CSR operators of
+    :class:`_BankOperators` (what §5.3's fold reads of each forest —
+    every node's tree and that tree's degree mass), folded by
+    :meth:`estimate_source_many` / :meth:`estimate_target_many`.  The
+    sampled forests themselves are dropped once the operators exist.
 
     Attributes
     ----------
-    forests:
-        The stored :class:`~repro.forests.forest.RootedForest` objects
-        (roots + parents arrays; parents are kept for applications and
-        validation, roots are what queries read).
-    build_seconds, build_steps:
-        Construction cost (wall clock / walk steps) for Fig. 5.
+    num_forests:
+        Forests the operators fold.
+    build_seconds, build_steps, build_counters:
+        Sampling cost (wall clock / walk steps / work counters) for
+        Fig. 5; an attached bank carries its builder's.
     """
 
     def __init__(self, graph: Graph, alpha: float,
-                 forests: list[RootedForest], build_seconds: float,
-                 *, num_forests: int | None = None,
-                 build_steps: int | None = None):
+                 operators: _BankOperators | None, *, num_forests: int,
+                 build_seconds: float, build_steps: int,
+                 build_counters: WorkCounters | None = None,
+                 variance_mode: str = "improved",
+                 bank_dtype: str = "float64"):
         self.graph = graph
         self.alpha = alpha
-        self.forests = forests
+        self._ops = operators
+        self.num_forests = int(num_forests)
         self.build_seconds = build_seconds
-        # bank-attached indexes carry no forest objects, only the fold
-        # operators — the count and build cost come from the bank meta
-        self._num_forests = (len(forests) if num_forests is None
-                             else int(num_forests))
-        self.build_steps = (sum(forest.num_steps for forest in forests)
-                            if build_steps is None else int(build_steps))
-        self.build_counters = WorkCounters(
-            walk_steps=self.build_steps,
-            cycle_pops=(sum(forest.num_pops for forest in forests)
-                        if forests else
-                        max(self.build_steps
-                            - self._num_forests * graph.num_nodes, 0)),
-            forests_sampled=self._num_forests)
-        self._operators_cache: _BankOperators | None = None
+        self.build_steps = int(build_steps)
+        if build_counters is None:  # an attached bank: what its meta says
+            build_counters = WorkCounters(
+                walk_steps=self.build_steps,
+                cycle_pops=max(self.build_steps
+                               - self.num_forests * graph.num_nodes, 0),
+                forests_sampled=self.num_forests)
+        self.build_counters = build_counters
         # shard-restricted indexes fold only these rows of the
         # estimate vector (None = the whole node space, the default)
-        self.local_nodes: np.ndarray | None = None
+        self.local_nodes: np.ndarray | None = (
+            None if operators is None else operators.local_nodes)
         self.shard_index: int | None = None
         self.shard_count: int | None = None
         self.shard_strategy: str | None = None
         # provenance recorded in (and restored from) bank meta, v3
-        self.variance_mode: str = "improved"
-        self.bank_dtype: str = "float64"
+        self.variance_mode = variance_mode
+        self.bank_dtype = bank_dtype
 
     @classmethod
     def build(cls, graph: Graph, alpha: float, num_forests: int,
               rng: np.random.Generator | int | None = None,
               workers: int | None = 1,
               variance_mode: str = "improved") -> "ForestIndex":
-        """Sample and store ``num_forests`` independent forests.
+        """Sample ``num_forests`` independent forests and fold them
+        into the bank's operators.
 
         The sampler follows α as in
         :func:`~repro.forests.sampling.sample_forest` (Wilson below
         :data:`~repro.forests.sampling.AUTO_SAMPLER_ALPHA_THRESHOLD`,
-        cycle popping at and above it).
+        cycle popping at and above it).  :attr:`build_seconds` is the
+        sampling time alone; the operator build that follows is not
+        part of Fig. 5's construction cost.
 
-        ``workers > 1`` fans the sampling out over worker processes via
-        the chunked engine (:mod:`repro.parallel.engine`); the stored
-        forests are identical for every worker count at a fixed seed,
-        so the knob only changes build wall clock.  The build's work
-        counters land on :attr:`build_counters`.
+        ``workers`` picks one of two deterministic draws.
+        ``workers=1`` samples the whole bank from one serial stream of
+        ``rng``.  Any other value (``None``/``0`` for the CPU count, or
+        ``≥ 2``) goes through the chunked engine
+        (:mod:`repro.parallel.engine`), whose per-chunk streams give
+        the same bank for every such worker count — but not the bank
+        ``workers=1`` draws.  Both have the same law.  The build's
+        work counters land on :attr:`build_counters`.
 
         ``variance_mode`` is recorded on the index (and in any bank it
         serializes).  ``"stratified"`` additionally couples the sampled
@@ -473,15 +481,11 @@ class ForestIndex:
                                               rng=rng, workers=workers,
                                               counters=counters,
                                               stratified=stratified)
-        # materialise each forest's degree-mass cache now so queries
-        # never pay for it
-        for forest in forests:
-            forest.component_degree_mass(graph.degrees)
-        index = cls(graph, alpha, forests,
-                    build_seconds=time.perf_counter() - started)
-        index.build_counters = counters
-        index.variance_mode = variance_mode
-        return index
+        build_seconds = time.perf_counter() - started
+        return cls(graph, alpha, _BankOperators(forests, graph.degrees),
+                   num_forests=num_forests, build_seconds=build_seconds,
+                   build_steps=sum(forest.num_steps for forest in forests),
+                   build_counters=counters, variance_mode=variance_mode)
 
     @classmethod
     def recommended_size(cls, graph: Graph, epsilon: float | None = None,
@@ -518,76 +522,25 @@ class ForestIndex:
 
     # ------------------------------------------------------------------
     @property
-    def num_forests(self) -> int:
-        """Number of forests folded by this index (stored or attached)."""
-        return self._num_forests
-
-    @property
     def size_bytes(self) -> int:
-        """Memory footprint: roots + per-tree degree masses per forest.
+        """The paper's Fig-6 footprint: per forest, every node's root
+        label (int64) and its tree's degree mass (float64).
 
-        ``parents`` arrays are excluded — queries never read them, and
-        the paper's index stores exactly root + component-mass
-        information (Fig. 6 compares on this footing).  An
-        operator-only (bank-attached) index reports its operator
-        arrays instead.
+        What the fold operators actually hold is
+        :attr:`resident_bytes`.
         """
-        if not self.forests and self._operators_cache is not None:
-            return sum(array.nbytes for array
-                       in self._operators_cache.to_arrays().values())
-        total = 0
-        for forest in self.forests:
-            total += forest.roots.nbytes
-            total += forest.component_degree_mass(self.graph.degrees).nbytes
-        return total
+        per_node = np.dtype(np.int64).itemsize + np.dtype(np.float64).itemsize
+        return self.num_forests * self.graph.num_nodes * per_node
 
     @property
     def resident_bytes(self) -> int:
-        """Bytes of the arrays this index holds in memory: its fold
-        operators (built or attached; an array two operators share
-        counts once) and each stored forest's roots, parents and
-        degree masses.
-
-        :attr:`size_bytes` stays the paper's Fig-6 footprint; this is
-        what a serving generation keeps, and what the service's
-        memory accounting reports.
-        """
-        arrays = {}
-        if self._operators_cache is not None:
-            arrays = {id(array): array for array
-                      in self._operators_cache.to_arrays().values()}
-        total = sum(array.nbytes for array in arrays.values())
-        for forest in self.forests:
-            total += (forest.roots.nbytes + forest.parents.nbytes
-                      + forest.component_degree_mass(
-                          self.graph.degrees).nbytes)
-        return total
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path: str | os.PathLike) -> None:
-        """Serialise the index to an ``.npz`` file.
-
-        Stores the roots/parents matrices, α, and the build-cost
-        metadata; the graph itself is *not* stored (pass the same graph
-        to :meth:`load`).
-        """
-        if not self.forests:
-            raise ConfigError(
-                "operator-only index cannot be saved as .npz (no forests "
-                "stored); use save_bank on the original index instead")
-        np.savez_compressed(
-            path,
-            alpha=np.float64(self.alpha),
-            num_nodes=np.int64(self.graph.num_nodes),
-            degree_checksum=np.uint32(degree_checksum(self.graph)),
-            roots=np.stack([forest.roots for forest in self.forests]),
-            parents=np.stack([forest.parents for forest in self.forests]),
-            steps=np.asarray([forest.num_steps for forest in self.forests],
-                             dtype=np.int64),
-            build_seconds=np.float64(self.build_seconds),
-        )
+        """Bytes of the fold operators' arrays (an array two operators
+        share counts once) — what a serving generation keeps, and what
+        the service's memory accounting reports."""
+        if self._ops is None:  # a repairable bank not folded yet
+            return 0
+        arrays = {id(array): array for array in self._ops.to_arrays().values()}
+        return sum(array.nbytes for array in arrays.values())
 
     @staticmethod
     def _check_graph_match(graph: Graph, num_nodes: int,
@@ -603,42 +556,16 @@ class ForestIndex:
                 f"checksum does not match (same node count, different "
                 f"edges or weights)")
 
-    @classmethod
-    def load(cls, path: str | os.PathLike, graph: Graph) -> "ForestIndex":
-        """Load an index saved with :meth:`save` for the same graph.
-
-        Raises :class:`~repro.exceptions.ConfigError` when the file was
-        built for a different graph — node count and (for files written
-        since the checksum was added) the degree checksum must match.
-        """
-        from repro.forests.forest import RootedForest
-
-        with np.load(path) as data:
-            checksum = (int(data["degree_checksum"])
-                        if "degree_checksum" in data else None)
-            cls._check_graph_match(graph, int(data["num_nodes"]), checksum,
-                                   f"index file {os.fspath(path)!r}")
-            forests = [
-                RootedForest(roots=roots, parents=parents,
-                             num_steps=int(steps), method="loaded")
-                for roots, parents, steps in zip(
-                    data["roots"], data["parents"], data["steps"])]
-            index = cls(graph, float(data["alpha"]), forests,
-                        build_seconds=float(data["build_seconds"]))
-        for forest in index.forests:
-            forest.component_degree_mass(graph.degrees)
-        return index
-
     # ------------------------------------------------------------------
     # Sharding
     # ------------------------------------------------------------------
     def restrict(self, local_nodes: np.ndarray, *, shard_index: int = 0,
                  shard_count: int = 1,
                  strategy: str = "hash") -> "ForestIndex":
-        """An operator-only index folding just the owned estimate rows.
+        """An index folding just the owned estimate rows.
 
-        The restriction is pure slicing of the cached fold operators
-        (see :meth:`_BankOperators.restricted`) — no resampling, no
+        The restriction is pure slicing of the fold operators (see
+        :meth:`_BankOperators.restricted`) — no resampling, no
         arithmetic — so it is cheap to recompute per generation and
         the restricted rows stay bit-identical to the same rows of
         this index's fold.  The returned index keeps the *full* graph
@@ -647,12 +574,12 @@ class ForestIndex:
         attach against the same shared CSR segments as the global one.
         """
         restricted = ForestIndex(
-            self.graph, self.alpha, [],
-            build_seconds=self.build_seconds,
-            num_forests=self.num_forests, build_steps=self.build_steps)
-        restricted._operators_cache = _BankOperators.restricted(
-            self._operators, local_nodes)
-        restricted.local_nodes = restricted._operators_cache.local_nodes
+            self.graph, self.alpha,
+            _BankOperators.restricted(self._operators, local_nodes),
+            num_forests=self.num_forests,
+            build_seconds=self.build_seconds, build_steps=self.build_steps,
+            build_counters=self.build_counters,
+            variance_mode=self.variance_mode, bank_dtype=self.bank_dtype)
         restricted.shard_index = int(shard_index)
         restricted.shard_count = int(shard_count)
         restricted.shard_strategy = str(strategy)
@@ -730,7 +657,8 @@ class ForestIndex:
                   bank_dtype: str = "float64") -> None:
         """Write the uncompressed, memmap-able bank directory.
 
-        Unlike :meth:`save`, the result can be attached in O(1): one
+        The index's one saved form, attached again in O(1) by
+        :meth:`load_bank`: one
         plain ``.npy`` file per operator array plus ``manifest.json``
         (see :func:`repro.parallel.shared_bank.save_array_bank`), so
         ``np.load(..., mmap_mode="r")`` maps a multi-hundred-MB bank
@@ -762,13 +690,11 @@ class ForestIndex:
     @classmethod
     def attach_bank(cls, arrays: dict[str, np.ndarray], meta: dict,
                     graph: Graph) -> "ForestIndex":
-        """Build an operator-only index over externally owned arrays.
+        """An index over externally owned operator arrays.
 
         ``arrays``/``meta`` come from :func:`load_array_bank` (memmap)
-        or an attached shared-memory bank; nothing is copied.  The
-        resulting index serves :meth:`estimate_source_many` /
-        :meth:`estimate_target_many` (all the batch solvers need) but
-        has no per-forest objects.
+        or an attached shared-memory bank; nothing is copied, and the
+        result folds exactly as the index that saved them.
         """
         from repro.core.config import VARIANCE_MODES
 
@@ -791,17 +717,16 @@ class ForestIndex:
                 f"supported modes are {VARIANCE_MODES}")
         cls._check_graph_match(graph, int(meta["num_nodes"]),
                                meta.get("degree_checksum"), "index bank")
-        index = cls(graph, float(meta["alpha"]), [],
+        num_forests = int(meta["num_forests"])
+        operators = _BankOperators.from_arrays(
+            arrays, num_nodes=graph.num_nodes, num_forests=num_forests)
+        index = cls(graph, float(meta["alpha"]), operators,
+                    num_forests=num_forests,
                     build_seconds=float(meta.get("build_seconds", 0.0)),
-                    num_forests=int(meta["num_forests"]),
-                    build_steps=int(meta.get("build_steps", 0)))
-        index._operators_cache = _BankOperators.from_arrays(
-            arrays, num_nodes=graph.num_nodes,
-            num_forests=int(meta["num_forests"]))
-        index.variance_mode = variance_mode
-        index.bank_dtype = str(meta.get("bank_dtype", "float64"))
-        if index._operators_cache.local_nodes is not None:
-            index.local_nodes = index._operators_cache.local_nodes
+                    build_steps=int(meta.get("build_steps", 0)),
+                    variance_mode=variance_mode,
+                    bank_dtype=str(meta.get("bank_dtype", "float64")))
+        if index.local_nodes is not None:
             index.shard_index = int(meta.get("shard_index", 0))
             index.shard_count = int(meta.get("shard_count", 1))
             index.shard_strategy = str(meta.get("shard_strategy", "hash"))
@@ -820,23 +745,16 @@ class ForestIndex:
     # Batched estimation (the serving layer's micro-batch fold)
     # ------------------------------------------------------------------
     def prepare_fold(self) -> "ForestIndex":
-        """Build the fold operators now, if not yet cached; returns
-        ``self``.  A server calls this before it publishes a bank, so
-        no query pays for the build."""
-        self._operators  # noqa: B018 - builds and caches
+        """Make sure the fold operators exist; returns ``self``.  A
+        server calls this before it publishes a bank, so no query pays
+        for the build (only a repairable bank builds anything here)."""
+        self._operators  # noqa: B018 - builds a repaired bank's operators
         return self
 
     @property
     def _operators(self) -> _BankOperators:
-        """Whole-bank sparse fold operators (lazy, cached)."""
-        if self._operators_cache is None:
-            if not self.forests:
-                raise ConfigError(
-                    "operator-only index lost its operators — rebuild or "
-                    "reattach the bank")
-            self._operators_cache = _BankOperators(self.forests,
-                                                   self.graph.degrees)
-        return self._operators_cache
+        """The whole-bank sparse fold operators."""
+        return self._ops
 
     def _as_batch(self, residuals: np.ndarray) -> np.ndarray:
         """Validate and transpose a ``(B, n)`` batch to ``(n, B)``."""
@@ -944,36 +862,3 @@ class ForestIndex:
         if zero.any():
             estimates[zero] = batch[entries[zero], rows[zero]]
         return estimates
-
-    # ------------------------------------------------------------------
-    def _combine(self, residual: np.ndarray, estimator) -> np.ndarray:
-        if not self.forests:
-            raise ConfigError(
-                "this index is operator-only (attached from a bank); "
-                "per-forest estimators need an index with stored forests "
-                "— use estimate_source_many / estimate_target_many or "
-                "load the full .npz index")
-        estimates = np.zeros(self.graph.num_nodes)
-        for forest in self.forests:
-            estimates += estimator(forest, residual)
-        return estimates / self.num_forests
-
-    def estimate_source(self, residual: np.ndarray, *,
-                        improved: bool = True) -> np.ndarray:
-        """Average single-source forest estimate over the stored bank."""
-        degrees = self.graph.degrees
-        if improved:
-            return self._combine(
-                residual,
-                lambda forest, r: source_estimate_improved(forest, r, degrees))
-        return self._combine(residual, source_estimate_basic)
-
-    def estimate_target(self, residual: np.ndarray, *,
-                        improved: bool = True) -> np.ndarray:
-        """Average single-target forest estimate over the stored bank."""
-        degrees = self.graph.degrees
-        if improved:
-            return self._combine(
-                residual,
-                lambda forest, r: target_estimate_improved(forest, r, degrees))
-        return self._combine(residual, target_estimate_basic)

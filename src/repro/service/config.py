@@ -31,7 +31,10 @@ class ServiceConfig:
         The :class:`~repro.core.config.PPRConfig` fields the warmed
         index and its solvers are built with; ``workers`` fans the
         index *build* out over the parallel engine and — in process
-        executor mode — also sizes the query worker pool.
+        executor mode — also sizes the query worker pool.  The bank a
+        seed gives is the same for every ``workers`` other than 1;
+        ``workers=1`` samples serially and gives a different one (see
+        :meth:`~repro.montecarlo.forest_index.ForestIndex.build`).
     executor:
         ``"thread"`` folds batches in-process on the scheduler
         threads; ``"process"`` dispatches them to a pool of

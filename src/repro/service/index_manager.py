@@ -20,8 +20,8 @@ stage per query.  :class:`IndexManager` owns those banks:
   in-flight queries keep the bank they already hold, new queries see
   the new generation;
 - **memory accounting** — :meth:`memory_bytes` / :meth:`stats` report
-  the bytes each resident bank holds: its fold operators, stored
-  forests and (dynamic banks) arrow records;
+  the bytes each resident bank holds: its fold operators, plus a
+  dynamic bank's forests and arrow records;
 - **shared-memory views** — :meth:`shared_view` publishes the graph's
   CSR arrays and the bank's fold operators as named shared-memory
   segments for the multiprocess executor; a refresh *retires* the old
@@ -200,9 +200,6 @@ class IndexManager:
         self._shared_indexes: dict[tuple[str, float, int | None],
                                    tuple[SharedArrayBank, int]] = {}
         self._shard_maps: dict[str, ShardMap] = {}
-        # per-generation shard restrictions, keyed (name, alpha, shard)
-        self._restricted: dict[tuple[str, float, int],
-                               tuple[ForestIndex, int]] = {}
         self._lock = threading.RLock()
         self._builds = 0
 
@@ -213,8 +210,6 @@ class IndexManager:
             self._graphs[name] = graph
             stale = self._shared_graphs.pop(name, None)
             self._shard_maps.pop(name, None)
-            for key in [k for k in self._restricted if k[0] == name]:
-                del self._restricted[key]
         if stale is not None:
             stale.retire()
 
@@ -329,9 +324,6 @@ class IndexManager:
                     stale = [self._shared_indexes.pop(k)
                              for k in list(self._shared_indexes)
                              if k[0] == name and k[1] == alpha]
-                    for cache_key in [k for k in self._restricted
-                                      if k[0] == name and k[1] == alpha]:
-                        del self._restricted[cache_key]
             if stale:
                 # unlink happens once the last in-flight borrower drops
                 with span.child("retire"):
@@ -416,9 +408,6 @@ class IndexManager:
                 stale_banks = [self._shared_indexes.pop(key)
                                for key in list(self._shared_indexes)
                                if key[0] == name]
-                for cache_key in [k for k in self._restricted
-                                  if k[0] == name]:
-                    del self._restricted[cache_key]
         with span.child("retire"):
             if stale_graph is not None:
                 stale_graph.retire()
@@ -472,9 +461,6 @@ class IndexManager:
             stale = [self._shared_indexes.pop(k)
                      for k in list(self._shared_indexes)
                      if k[0] == name and k[1] == alpha]
-            for cache_key in [k for k in self._restricted
-                              if k[0] == name and k[1] == alpha]:
-                del self._restricted[cache_key]
         if stale:
             with span.child("retire"):
                 for bank, _generation in stale:
@@ -493,6 +479,8 @@ class IndexManager:
         restriction of the whole-space bank (same forests, same
         generation — just this shard's output rows), while the graph
         bank stays the full CSR: every shard runs the full push.  The
+        restriction is sliced only when a generation is first
+        published, and only its shared-memory copy is kept.  The
         caller — one executor batch — must
         :meth:`SharedIndexView.release` when done; a refresh that
         lands mid-batch retires the old segments, and the unlink is
@@ -510,23 +498,6 @@ class IndexManager:
             # re-read under the lock: a refresh may have swapped the
             # bank between get_index and here
             index, generation = managed.index, managed.generation
-            if shard is not None:
-                cached = self._restricted.get((name, alpha, shard))
-                if cached is not None and cached[1] == generation:
-                    publish = cached[0]
-                else:
-                    # pure row slicing of the built operators — cheap
-                    # enough to run under the lock, and doing so pins
-                    # the restriction to this exact generation
-                    shard_map = self.shard_map(name)
-                    publish = index.restrict(
-                        shard_map.local_nodes(shard), shard_index=shard,
-                        shard_count=self.shards,
-                        strategy=self.shard_strategy)
-                    self._restricted[(name, alpha, shard)] = (publish,
-                                                              generation)
-            else:
-                publish = index
             graph_bank = self._shared_graphs.get(name)
             if graph_bank is None or graph_bank.retired:
                 arrays, meta = graph_bank_arrays(self._graphs[name])
@@ -537,7 +508,16 @@ class IndexManager:
             if entry is None or entry[1] != generation or entry[0].retired:
                 if entry is not None:
                     entry[0].retire()
-                index_bank = SharedArrayBank(*publish.bank_arrays())
+                if shard is not None:
+                    # pure row slicing of the built operators — cheap
+                    # enough to run under the lock, and doing so pins
+                    # the restriction to this exact generation; the
+                    # heap slices die once the bank has copied them
+                    index = index.restrict(
+                        self.shard_map(name).local_nodes(shard),
+                        shard_index=shard, shard_count=self.shards,
+                        strategy=self.shard_strategy)
+                index_bank = SharedArrayBank(*index.bank_arrays())
                 self._shared_indexes[key] = (index_bank, generation)
             else:
                 index_bank = entry[0]

@@ -1,7 +1,7 @@
 """Sharded forest index: partitioning, partial results, routing.
 
 - :mod:`repro.shard.partition` — deterministic node ↔ shard maps
-  (hash / range strategies), exact CSR partition/merge round-trips;
+  (hash / range strategies);
 - :mod:`repro.shard.partial` — the per-shard partial result the
   scatter-gather protocol ships between workers and the router;
 - :mod:`repro.shard.router` — :class:`~repro.shard.router.ShardRouter`,
@@ -16,16 +16,9 @@ cycle.
 """
 
 from repro.shard.partial import ShardPartial
-from repro.shard.partition import (
-    STRATEGIES,
-    ShardMap,
-    ShardSubgraph,
-    merge_subgraphs,
-    partition_graph,
-)
+from repro.shard.partition import STRATEGIES, ShardMap
 
-__all__ = ["STRATEGIES", "ShardMap", "ShardSubgraph", "ShardPartial",
-           "partition_graph", "merge_subgraphs", "ShardRouter"]
+__all__ = ["STRATEGIES", "ShardMap", "ShardPartial", "ShardRouter"]
 
 
 def __getattr__(name: str):

@@ -1,4 +1,4 @@
-r"""Graph partitioning for the sharded forest index.
+r"""Node partitioning for the sharded forest index.
 
 A :class:`ShardMap` assigns every node of a
 :class:`~repro.graph.csr.Graph` to exactly one shard and gives each
@@ -20,27 +20,18 @@ and any two processes that build a map from the same triple agree on
 every assignment — the property the scatter-gather router and the
 per-shard executor workers rely on.
 
-:func:`partition_graph` splits a CSR graph into per-shard
-:class:`ShardSubgraph` row groups.  Neighbour ids stay **global** —
-cut edges (arcs leaving the shard) are kept, not dropped — and each
-row keeps its stored neighbour order, so :func:`merge_subgraphs`
-reconstructs the original CSR arrays *exactly* (indptr, indices,
-weights, byte for byte).  This is deliberately not
-:meth:`~repro.graph.csr.Graph.subgraph`, which relabels nodes and
-drops cut edges and therefore cannot round-trip.
+The graph itself is never split: every shard pushes over the full
+graph, and only the bank's fold rows are partitioned
+(:meth:`~repro.montecarlo.forest_index.ForestIndex.restrict`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import ConfigError
-from repro.graph.csr import Graph
 
-__all__ = ["STRATEGIES", "ShardMap", "ShardSubgraph", "partition_graph",
-           "merge_subgraphs"]
+__all__ = ["STRATEGIES", "ShardMap"]
 
 #: Recognised partitioning strategies.
 STRATEGIES = ("hash", "range")
@@ -134,115 +125,3 @@ class ShardMap:
     def __repr__(self) -> str:
         return (f"ShardMap({self.num_nodes} nodes, "
                 f"{self.num_shards} shard(s), {self.strategy!r})")
-
-
-@dataclass(frozen=True)
-class ShardSubgraph:
-    """One shard's CSR row group.
-
-    ``indptr`` is local (``len(nodes) + 1`` entries) but ``indices``
-    stay **global** — cut edges are kept, so this is not a standalone
-    :class:`~repro.graph.csr.Graph` (neighbour ids may exceed the
-    local node count).  The invariants :func:`merge_subgraphs` needs:
-    ``nodes`` ascending and owned by exactly one subgraph, and each
-    row's neighbour order identical to the source graph's.
-    """
-
-    shard: int
-    nodes: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray | None
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.nodes.size)
-
-    @property
-    def num_edges(self) -> int:
-        """Stored arcs (an undirected edge inside one shard counts
-        twice, a cut edge once per owning endpoint)."""
-        return int(self.indices.size)
-
-
-def _row_positions(indptr: np.ndarray, rows: np.ndarray,
-                   counts: np.ndarray) -> np.ndarray:
-    """Flat CSR positions of ``rows``' adjacency slices, row order."""
-    total = int(counts.sum())
-    starts = np.asarray(indptr)[rows]
-    offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    return (np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, counts) + np.repeat(starts, counts))
-
-
-def partition_graph(graph: Graph, shard_map: ShardMap) \
-        -> list[ShardSubgraph]:
-    """Split ``graph`` into one :class:`ShardSubgraph` per shard.
-
-    Pure row gathering — no relabelling, no edge drops — so
-    ``merge_subgraphs(partition_graph(g, m)) == g`` exactly.
-    """
-    if shard_map.num_nodes != graph.num_nodes:
-        raise ConfigError(
-            f"shard map covers {shard_map.num_nodes} nodes, graph has "
-            f"{graph.num_nodes}")
-    degrees = graph.out_degrees
-    subgraphs = []
-    for shard in range(shard_map.num_shards):
-        rows = shard_map.local_nodes(shard)
-        counts = degrees[rows]
-        indptr = np.concatenate(
-            ([0], np.cumsum(counts, dtype=np.int64)))
-        positions = _row_positions(graph.indptr, rows, counts)
-        weights = (None if graph.weights is None
-                   else graph.weights[positions])
-        subgraphs.append(ShardSubgraph(
-            shard=shard, nodes=rows, indptr=indptr,
-            indices=graph.indices[positions], weights=weights))
-    return subgraphs
-
-
-def merge_subgraphs(subgraphs: list[ShardSubgraph], *,
-                    directed: bool = False) -> Graph:
-    """Reassemble per-shard row groups into the original graph.
-
-    Exact inverse of :func:`partition_graph`: every node must be owned
-    by exactly one subgraph, and the result's CSR arrays equal the
-    source graph's element for element (indptr, indices, weights, and
-    per-row neighbour order included).
-    """
-    if not subgraphs:
-        raise ConfigError("no subgraphs to merge")
-    num_nodes = sum(sg.num_nodes for sg in subgraphs)
-    owned = np.zeros(num_nodes, dtype=bool)
-    counts = np.zeros(num_nodes, dtype=np.int64)
-    for sg in subgraphs:
-        nodes = np.asarray(sg.nodes, dtype=np.int64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
-            raise ConfigError(
-                f"shard {sg.shard} owns node ids outside "
-                f"[0, {num_nodes}) — subgraph set is not a partition")
-        if owned[nodes].any():
-            raise ConfigError(
-                f"shard {sg.shard} owns nodes already claimed by "
-                f"another shard")
-        owned[nodes] = True
-        counts[nodes] = np.diff(sg.indptr)
-    if not owned.all():
-        missing = int(np.flatnonzero(~owned)[0])
-        raise ConfigError(
-            f"node {missing} is owned by no subgraph — cannot merge")
-    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=subgraphs[0].indices.dtype)
-    weighted = any(sg.weights is not None for sg in subgraphs)
-    weights = np.empty(total, dtype=np.float64) if weighted else None
-    for sg in subgraphs:
-        row_counts = np.diff(sg.indptr)
-        positions = _row_positions(indptr, np.asarray(sg.nodes), row_counts)
-        indices[positions] = sg.indices
-        if weighted:
-            weights[positions] = (1.0 if sg.weights is None
-                                  else sg.weights)
-    return Graph(indptr, indices, weights, directed=directed,
-                 validate=True)

@@ -7,12 +7,63 @@ conversion (which sorts each row and sums duplicates).  The production
 build derives the same arrays with a root-mask cumsum, a regular
 node-major indptr and counting-sort transposes;
 ``tests/test_bank_operators.py`` asserts the two agree byte for byte.
+
+:class:`PerForestIndex` is the fold the direct way: every forest's
+estimator from :mod:`repro.forests.estimators`, averaged over the bank.
+The indexed queries (``foralv+``, ``speedlv+``, ``backlv+``) run on it
+as on any :class:`~repro.montecarlo.forest_index.ForestIndex`, so a
+bank's operator fold can be checked against the mean of its forests'
+own estimates.  :func:`serial_bank_forests` draws the forests that
+``ForestIndex.build(..., workers=1)`` folds.
 """
 
 import numpy as np
 import scipy.sparse as sparse
 
-from repro.montecarlo.forest_index import _BankOperators
+from repro.forests.estimators import (
+    source_estimate_basic,
+    source_estimate_improved,
+    target_estimate_basic,
+    target_estimate_improved,
+)
+from repro.forests.sampling import sample_forests
+from repro.montecarlo.forest_index import ForestIndex, _BankOperators
+
+
+def serial_bank_forests(graph, alpha, num_forests, rng,
+                        variance_mode="improved"):
+    """The forests a ``workers=1`` build samples: one serial stream."""
+    return list(sample_forests(
+        graph, alpha, num_forests, rng=rng,
+        method="stratified" if variance_mode == "stratified" else "auto"))
+
+
+class PerForestIndex(ForestIndex):
+    """A forest index that folds forest by forest."""
+
+    def __init__(self, graph, alpha, forests):
+        super().__init__(graph, alpha, None, num_forests=len(forests),
+                         build_seconds=0.0,
+                         build_steps=sum(f.num_steps for f in forests))
+        self.forests = forests
+
+    def _mean(self, residuals, estimator):
+        return np.array([
+            np.mean([estimator(forest, residual) for forest in self.forests],
+                    axis=0)
+            for residual in np.atleast_2d(residuals)])
+
+    def estimate_source_many(self, residuals, *, improved=True):
+        degrees = self.graph.degrees
+        return self._mean(residuals, (
+            lambda forest, r: source_estimate_improved(forest, r, degrees))
+            if improved else source_estimate_basic)
+
+    def estimate_target_many(self, residuals, *, improved=True):
+        degrees = self.graph.degrees
+        return self._mean(residuals, (
+            lambda forest, r: target_estimate_improved(forest, r, degrees))
+            if improved else target_estimate_basic)
 
 
 def coo_bank_operators(forests, degrees) -> _BankOperators:

@@ -10,6 +10,8 @@ freshly-built and the rehydrated path.
 import numpy as np
 import pytest
 
+import repro
+from repro.core.config import PPRConfig
 from repro.exceptions import ConfigError
 from repro.graph import from_edges
 from repro.graph.generators import erdos_renyi
@@ -17,6 +19,11 @@ from repro.montecarlo.forest_index import (
     ForestIndex,
     _BankOperators,
     degree_checksum,
+)
+from tests.bank_operators_oracle import (
+    PerForestIndex,
+    coo_bank_operators,
+    serial_bank_forests,
 )
 
 
@@ -82,12 +89,12 @@ class TestSingleForestBank:
         graph = erdos_renyi(5, 0.7, rng=3)
         index = ForestIndex.build(graph, 0.25, 1, rng=7)
         assert index.num_forests == 1
+        oracle = PerForestIndex(graph, 0.25,
+                                serial_bank_forests(graph, 0.25, 1, 7))
         for improved in (True, False):
-            batched = index.estimate_source_many(residuals5,
-                                                 improved=improved)
-            for row, residual in zip(batched, residuals5):
-                assert np.allclose(row, index.estimate_source(
-                    residual, improved=improved))
+            assert np.allclose(
+                index.estimate_source_many(residuals5, improved=improved),
+                oracle.estimate_source_many(residuals5, improved=improved))
 
     def test_rehydrated_bank_matches(self, residuals5):
         graph = erdos_renyi(5, 0.7, rng=3)
@@ -158,18 +165,17 @@ class TestArrayRoundTrip:
         assert np.shares_memory(rebuilt.gather_root.indices,
                                 arrays["gather_root_indices"])
 
-    def test_attached_index_refuses_forest_apis(self, tmp_path):
+    def test_attached_index_is_the_saved_index(self, tmp_path):
         graph = erdos_renyi(6, 0.5, rng=4)
         index = ForestIndex.build(graph, 0.2, 2, rng=4)
         index.save_bank(tmp_path / "bank")
         attached = ForestIndex.load_bank(tmp_path / "bank", graph)
+        assert type(attached) is type(index)
+        assert not hasattr(attached, "forests")
         assert attached.num_forests == 2
         assert attached.build_steps == index.build_steps
-        assert attached.size_bytes > 0
-        with pytest.raises(ConfigError, match="operator-only"):
-            attached.estimate_source(np.zeros(6))
-        with pytest.raises(ConfigError, match="operator-only"):
-            attached.save(tmp_path / "again.npz")
+        assert attached.build_counters == index.build_counters
+        assert attached.size_bytes == index.size_bytes
 
 
 class TestGraphValidation:
@@ -180,16 +186,6 @@ class TestGraphValidation:
         b = erdos_renyi(10, 0.4, rng=2)
         assert degree_checksum(a) != degree_checksum(b)
         assert degree_checksum(a) == degree_checksum(a)
-
-    def test_npz_roundtrip_mismatch(self, tmp_path):
-        a = erdos_renyi(10, 0.4, rng=1)
-        b = erdos_renyi(10, 0.4, rng=2)
-        index = ForestIndex.build(a, 0.2, 3, rng=0)
-        index.save(tmp_path / "index.npz")
-        with pytest.raises(ConfigError, match="degree checksum"):
-            ForestIndex.load(tmp_path / "index.npz", b)
-        loaded = ForestIndex.load(tmp_path / "index.npz", a)
-        assert loaded.num_forests == 3
 
     def test_bank_roundtrip_mismatch(self, tmp_path):
         a = erdos_renyi(10, 0.4, rng=1)
@@ -219,24 +215,30 @@ class TestCOOOracle:
 
     @staticmethod
     def _bank(kind):
+        """A ``workers=1`` index and the forests it folded."""
         from repro.graph.generators import with_random_weights
 
         undirected = erdos_renyi(80, 0.06, rng=21)
+        mode = "improved"
         if kind == "weighted":
-            weighted = with_random_weights(
+            graph = with_random_weights(
                 erdos_renyi(60, 0.08, rng=22), low=0.5, high=4.0,
                 integer=False, rng=23)
-            return ForestIndex.build(weighted, 0.05, 5, rng=2)
-        if kind == "directed_sink":
+            alpha, count, seed = 0.05, 5, 2
+        elif kind == "directed_sink":
             # node 5 has no out-arcs (a sink), node 6 no arcs at all
-            directed = from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
-                                   (4, 5), (1, 5), (3, 1)],
-                                  directed=True, num_nodes=7)
-            return ForestIndex.build(directed, 0.2, 8, rng=3)
-        if kind == "one_forest":
-            return ForestIndex.build(undirected, 0.3, 1, rng=4)
-        return ForestIndex.build(undirected, 0.1, 6, rng=1,
-                                 variance_mode=kind)
+            graph = from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                                (4, 5), (1, 5), (3, 1)],
+                               directed=True, num_nodes=7)
+            alpha, count, seed = 0.2, 8, 3
+        elif kind == "one_forest":
+            graph, alpha, count, seed = undirected, 0.3, 1, 4
+        else:
+            graph, alpha, count, seed = undirected, 0.1, 6, 1
+            mode = kind
+        return (ForestIndex.build(graph, alpha, count, rng=seed,
+                                  variance_mode=mode),
+                serial_bank_forests(graph, alpha, count, seed, mode))
 
     @staticmethod
     def _assert_byte_equal(left, right):
@@ -257,15 +259,87 @@ class TestCOOOracle:
     @pytest.mark.parametrize("kind", ["improved", "stratified", "weighted",
                                       "directed_sink", "one_forest"])
     def test_build_and_derived_layouts_match(self, kind):
-        from tests.bank_operators_oracle import coo_bank_operators
-
-        index = self._bank(kind)
+        index, forests = self._bank(kind)
         degrees = index.graph.degrees
-        built = _BankOperators(index.forests, degrees)
-        oracle = coo_bank_operators(index.forests, degrees)
+        built = _BankOperators(forests, degrees)
+        # the index folds exactly the operators of its serial draw
+        self._assert_byte_equal(index._operators, built)
+        oracle = coo_bank_operators(forests, degrees)
         self._assert_byte_equal(built, oracle)
         for owned in (np.arange(0, index.graph.num_nodes, 2),
                       np.arange(3), np.empty(0, dtype=np.int64)):
             self._assert_byte_equal(
                 _BankOperators.restricted(built, owned),
                 _BankOperators.restricted(oracle, owned))
+
+
+class TestSavedBankAnswersIndexedMethods:
+    """A bank that went through ``save_bank`` / ``load_bank`` answers
+    every indexed method, matching the mean of its forests' own
+    estimates (:class:`tests.bank_operators_oracle.PerForestIndex`) —
+    improved estimates, or basic ones on the directed graph."""
+
+    ALPHA = 0.2
+    FORESTS = 12
+    SEED = 5
+
+    @pytest.fixture(params=["undirected", "directed", "degree_zero"])
+    def graph(self, request):
+        if request.param == "undirected":
+            return erdos_renyi(40, 0.12, rng=31)
+        if request.param == "directed":
+            # node 5 is a sink, node 6 has no arcs at all
+            return from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                               (4, 5), (1, 5), (3, 1)],
+                              directed=True, num_nodes=7)
+        # triangle + edge + isolated node 5
+        return from_edges([(0, 1), (1, 2), (0, 2), (3, 4)], num_nodes=6)
+
+    def _banks(self, graph, tmp_path):
+        ForestIndex.build(graph, self.ALPHA, self.FORESTS,
+                          rng=self.SEED).save_bank(tmp_path / "bank")
+        loaded = ForestIndex.load_bank(tmp_path / "bank", graph)
+        oracle = PerForestIndex(graph, self.ALPHA, serial_bank_forests(
+            graph, self.ALPHA, self.FORESTS, self.SEED))
+        return loaded, oracle
+
+    @pytest.mark.parametrize("method", ["speedlv+", "foralv+", "backlv+"])
+    def test_matches_the_per_forest_mean(self, graph, tmp_path, method):
+        loaded, oracle = self._banks(graph, tmp_path)
+        config = PPRConfig(alpha=self.ALPHA, epsilon=0.5, seed=3)
+        query = (repro.single_target if method == "backlv+"
+                 else repro.single_source)
+        for node in range(graph.num_nodes):
+            got = query(graph, node, method=method, config=config,
+                        index=loaded)
+            want = query(graph, node, method=method, config=config,
+                         index=oracle)
+            np.testing.assert_allclose(got.estimates, want.estimates,
+                                       rtol=1e-12, atol=0)
+            assert got.estimates.sum() == pytest.approx(
+                want.estimates.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["speedlv+", "foralv+", "backlv+"])
+    def test_shard_restriction_refused(self, graph, tmp_path, method):
+        loaded, _ = self._banks(graph, tmp_path)
+        shard = loaded.restrict(np.arange(3), shard_index=0, shard_count=2)
+        query = (repro.single_target if method == "backlv+"
+                 else repro.single_source)
+        with pytest.raises(ConfigError, match="shard"):
+            query(graph, 0, method=method, alpha=self.ALPHA, index=shard)
+
+
+class TestFootprint:
+    def test_size_bytes_is_the_fig6_footprint(self):
+        """Roots plus tree degree masses of every forest — the figure
+        the build reported while it still held its forests."""
+        graph = erdos_renyi(30, 0.15, rng=8)
+        index = ForestIndex.build(graph, 0.15, 7, rng=8)
+        forests = serial_bank_forests(graph, 0.15, 7, 8)
+        assert index.size_bytes == sum(
+            forest.roots.nbytes
+            + forest.component_degree_mass(graph.degrees).nbytes
+            for forest in forests)
+        assert index.resident_bytes == sum(
+            {id(array): array.nbytes
+             for array in index._operators.to_arrays().values()}.values())

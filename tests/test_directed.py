@@ -121,6 +121,23 @@ class TestAlgorithmsDirected:
         with pytest.raises(ConfigError):
             single_target(directed_random, 0, method="backlv", alpha=0.2)
 
+    def test_indexed_variants_fold_basic(self, directed_random):
+        """The indexed methods answer on a directed graph by folding the
+        bank with the basic estimators, so they stay unbiased."""
+        from repro.montecarlo import ForestIndex
+
+        alpha = 0.2
+        index = ForestIndex.build(directed_random, alpha, 3000, rng=5)
+        config = PPRConfig(alpha=alpha, epsilon=0.5, seed=6)
+        exact = exact_ppr_matrix(directed_random, alpha)
+        for method in ("foralv+", "speedlv+"):
+            result = single_source(directed_random, 0, method=method,
+                                   config=config, index=index)
+            assert np.abs(result.estimates - exact[0]).max() < 0.02
+        result = single_target(directed_random, 5, method="backlv+",
+                               config=config, index=index)
+        assert np.abs(result.estimates - exact[:, 5]).max() < 0.02
+
     def test_backl_works_directed(self, directed_random):
         config = PPRConfig(alpha=0.2, epsilon=0.5, seed=3)
         result = single_target(directed_random, 5, method="backl",

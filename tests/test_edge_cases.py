@@ -9,11 +9,12 @@ from repro.exceptions import ConfigError, ConvergenceError, ReproError
 from repro.forests.sampling import (
     AUTO_SAMPLER_ALPHA_THRESHOLD,
     sample_forest,
+    sample_forests,
 )
 from repro.graph import from_edges
 from repro.graph.generators import erdos_renyi, path_graph, star_graph
 from repro.linalg import exact_single_source
-from repro.montecarlo import ForestIndex, WalkIndex
+from repro.montecarlo import WalkIndex
 from repro.parallel.engine import sample_forests_parallel
 
 
@@ -47,10 +48,10 @@ class TestAutoSamplerSelection:
     ])
     def test_every_entry_point_follows_the_rule(self, k5, alpha, expected):
         # the threshold in sample_forest is the one place the sampler
-        # is chosen; index builds and the chunked engine inherit it
+        # is chosen; index builds (serial: sample_forests, otherwise
+        # the chunked engine) inherit it
         banks = [
-            ForestIndex.build(k5, alpha, 3, rng=0, workers=1).forests,
-            ForestIndex.build(k5, alpha, 3, rng=0, workers=2).forests,
+            list(sample_forests(k5, alpha, 3, rng=0, method="auto")),
             sample_forests_parallel(k5, alpha, 3, rng=0, workers=2),
         ]
         for forests in banks:

@@ -398,13 +398,15 @@ class TestServiceByteIdentity:
             svc.query("source", 3)
             block = svc.healthz()["executor"]
             bare = ProcessExecutor(svc.index_manager, workers=2).stats()
+            published = [key[2] for key in svc.index_manager._shared_indexes]
         assert set(bare) <= set(block)
         assert block["mode"] == "process"
         assert block["workers"] == 2
         assert block["shard"] is None
         assert len(block["alive"]) == 2 and all(block["alive"])
         assert sum(block["tasks_done"]) > 0
-        assert svc.index_manager._restricted == {}
+        # the flat pool reads the whole-space bank, no restriction
+        assert published == [None]
 
     def test_no_leaked_segments_after_stop(self, graph):
         def segments():

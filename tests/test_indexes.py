@@ -7,6 +7,7 @@ from repro.exceptions import ConfigError
 from repro.linalg import exact_ppr_matrix
 from repro.montecarlo import ForestIndex, WalkIndex
 from repro.graph.generators import erdos_renyi
+from tests.bank_operators_oracle import serial_bank_forests
 
 
 @pytest.fixture
@@ -108,8 +109,9 @@ class TestForestIndex:
         from repro.forests.estimators import source_estimate_improved
         manual = np.mean([
             source_estimate_improved(forest, residual, graph10.degrees)
-            for forest in index.forests], axis=0)
-        assert np.allclose(index.estimate_source(residual), manual)
+            for forest in serial_bank_forests(graph10, alpha, 4, 7)],
+            axis=0)
+        assert np.allclose(index.estimate_source_many(residual)[0], manual)
 
     def test_estimate_unbiased(self, graph10):
         alpha = 0.25
@@ -119,16 +121,16 @@ class TestForestIndex:
         want_source = residual @ exact
         want_target = exact @ residual
         index = ForestIndex.build(graph10, alpha, 3000, rng=11)
-        assert np.abs(index.estimate_source(residual)
+        assert np.abs(index.estimate_source_many(residual)[0]
                       - want_source).max() < 0.02
-        assert np.abs(index.estimate_target(residual)
+        assert np.abs(index.estimate_target_many(residual)[0]
                       - want_target).max() < 0.02
 
     def test_basic_vs_improved_switch(self, graph10):
         index = ForestIndex.build(graph10, 0.2, 5, rng=3)
         residual = np.ones(10) / 10
-        basic = index.estimate_source(residual, improved=False)
-        improved = index.estimate_source(residual, improved=True)
+        basic = index.estimate_source_many(residual, improved=False)[0]
+        improved = index.estimate_source_many(residual, improved=True)[0]
         assert not np.allclose(basic, improved)
         # both conserve residual mass
         assert basic.sum() == pytest.approx(1.0)
@@ -137,6 +139,28 @@ class TestForestIndex:
     def test_build_validation(self, graph10):
         with pytest.raises(ConfigError):
             ForestIndex.build(graph10, 0.2, 0)
+
+    def test_holds_only_its_fold_operators(self, graph10):
+        index = ForestIndex.build(graph10, 0.2, 5, rng=3)
+        assert not hasattr(index, "forests")
+        assert index.resident_bytes == sum(
+            {id(array): array.nbytes
+             for array in index._operators.to_arrays().values()}.values())
+
+    def test_worker_counts_draw_two_banks(self):
+        """``workers=1`` draws one serial stream; every other worker
+        count goes through the chunked engine and draws the same bank,
+        which is not the serial one."""
+        graph = erdos_renyi(120, 0.05, rng=7)
+
+        def bank_bytes(workers):
+            arrays, _ = ForestIndex.build(graph, 0.1, 16, rng=7,
+                                          workers=workers).bank_arrays()
+            return {name: array.tobytes() for name, array in arrays.items()}
+
+        serial, two, three = bank_bytes(1), bank_bytes(2), bank_bytes(3)
+        assert two == three
+        assert serial != two
 
 
 class TestPersistence:
@@ -154,25 +178,27 @@ class TestPersistence:
 
     def test_forest_index_round_trip(self, graph10, tmp_path):
         index = ForestIndex.build(graph10, 0.2, 6, rng=1)
-        path = tmp_path / "forests.npz"
-        index.save(path)
-        loaded = ForestIndex.load(path, graph10)
+        path = tmp_path / "bank"
+        index.save_bank(path)
+        loaded = ForestIndex.load_bank(path, graph10)
         assert loaded.num_forests == 6
+        assert loaded.alpha == index.alpha
         residual = np.linspace(0, 0.5, 10)
-        assert np.allclose(loaded.estimate_source(residual),
-                           index.estimate_source(residual))
-        assert np.allclose(loaded.estimate_target(residual),
-                           index.estimate_target(residual))
-        for forest in loaded.forests:
-            forest.validate()
+        for improved in (True, False):
+            assert np.array_equal(
+                loaded.estimate_source_many(residual, improved=improved),
+                index.estimate_source_many(residual, improved=improved))
+            assert np.array_equal(
+                loaded.estimate_target_many(residual, improved=improved),
+                index.estimate_target_many(residual, improved=improved))
 
     def test_wrong_graph_rejected(self, graph10, tmp_path):
         from repro.graph.generators import complete_graph
         index = ForestIndex.build(graph10, 0.2, 3, rng=2)
-        path = tmp_path / "forests.npz"
-        index.save(path)
+        path = tmp_path / "bank"
+        index.save_bank(path)
         with pytest.raises(ConfigError):
-            ForestIndex.load(path, complete_graph(4))
+            ForestIndex.load_bank(path, complete_graph(4))
         walk_index = WalkIndex.build_speedppr_plus(graph10, 0.2, rng=3)
         walk_path = tmp_path / "walks.npz"
         walk_index.save(walk_path)

@@ -22,24 +22,22 @@ import pytest
 
 from repro.core.config import PPRConfig
 from repro.exceptions import ConfigError
-from repro.graph import from_edges
 from repro.graph.delta import GraphDelta, parse_edge_spec
-from repro.graph.generators import erdos_renyi, with_random_weights
+from repro.graph.generators import erdos_renyi
 from repro.linalg import exact_ppr_matrix
 from repro.montecarlo.forest_index import ForestIndex
-from repro.parallel.shared_bank import BANK_FORMAT_VERSION, bank_manifest
+from repro.parallel.shared_bank import (
+    BANK_FORMAT_VERSION,
+    attach_bank,
+    bank_manifest,
+)
 from repro.service import (
     IndexManager,
     PPRService,
     ProcessExecutor,
     ServiceConfig,
 )
-from repro.shard import (
-    STRATEGIES,
-    ShardMap,
-    merge_subgraphs,
-    partition_graph,
-)
+from repro.shard import STRATEGIES, ShardMap
 from repro.shard.router import (
     SLOWDOWN_ENV,
     ShardRouter,
@@ -99,88 +97,6 @@ class TestShardMap:
             ShardMap(10, 2).locate(10)
         with pytest.raises(ConfigError, match="out of range"):
             ShardMap(10, 2).local_nodes(2)
-
-
-# ---------------------------------------------------------------------
-def _assert_same_graph(merged, graph):
-    assert merged.num_nodes == graph.num_nodes
-    assert np.array_equal(merged.indptr, graph.indptr)
-    assert np.array_equal(merged.indices, graph.indices)
-    if graph.weights is None:
-        assert merged.weights is None or np.all(merged.weights == 1.0)
-    else:
-        assert np.array_equal(merged.weights, graph.weights)
-
-
-class TestPartitionMerge:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("num_shards", [1, 3, 7])
-    def test_round_trip_er_graph(self, strategy, num_shards):
-        graph = erdos_renyi(60, 0.1, rng=SEED)
-        shard_map = ShardMap(graph.num_nodes, num_shards, strategy)
-        merged = merge_subgraphs(partition_graph(graph, shard_map))
-        _assert_same_graph(merged, graph)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_round_trip_weighted(self, strategy):
-        graph = with_random_weights(erdos_renyi(40, 0.15, rng=3),
-                                    low=0.5, high=4.0, rng=11)
-        shard_map = ShardMap(graph.num_nodes, 4, strategy)
-        merged = merge_subgraphs(partition_graph(graph, shard_map))
-        _assert_same_graph(merged, graph)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_round_trip_directed(self, strategy):
-        graph = from_edges([(0, 1), (1, 2), (2, 0), (3, 1), (4, 0)],
-                           num_nodes=6, directed=True)
-        shard_map = ShardMap(graph.num_nodes, 3, strategy)
-        merged = merge_subgraphs(partition_graph(graph, shard_map),
-                                 directed=True)
-        assert merged.directed
-        _assert_same_graph(merged, graph)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_property_random_graphs(self, strategy):
-        """Seeded sweep over sizes, densities, weights, shard counts."""
-        rng = np.random.default_rng(99)
-        for _ in range(8):
-            num_nodes = int(rng.integers(2, 80))
-            density = float(rng.uniform(0.02, 0.3))
-            graph = erdos_renyi(num_nodes, density,
-                                rng=int(rng.integers(1 << 30)))
-            if rng.random() < 0.5:
-                graph = with_random_weights(
-                    graph, rng=int(rng.integers(1 << 30)))
-            num_shards = int(rng.integers(1, num_nodes + 1))
-            shard_map = ShardMap(num_nodes, num_shards, strategy)
-            merged = merge_subgraphs(partition_graph(graph, shard_map))
-            _assert_same_graph(merged, graph)
-
-    def test_merge_rejects_non_partitions(self):
-        import dataclasses
-
-        graph = erdos_renyi(20, 0.2, rng=1)
-        shard_map = ShardMap(20, 4, "hash")
-        subgraphs = partition_graph(graph, shard_map)
-        with pytest.raises(ConfigError, match="no subgraphs"):
-            merge_subgraphs([])
-        # dropping a shard shrinks the implied node space, so the
-        # remaining owners' ids fall out of range
-        with pytest.raises(ConfigError, match="not a partition"):
-            merge_subgraphs(subgraphs[:-1])
-        with pytest.raises(ConfigError, match="already claimed"):
-            merge_subgraphs(subgraphs + [subgraphs[0]])
-        sparse = from_edges([(0, 1)], num_nodes=4)
-        halves = partition_graph(sparse, ShardMap(4, 2, "range"))
-        orphaning = dataclasses.replace(halves[1],
-                                        nodes=np.array([2, 2]))
-        with pytest.raises(ConfigError, match="owned by no subgraph"):
-            merge_subgraphs([halves[0], orphaning])
-
-    def test_partition_checks_node_count(self):
-        graph = erdos_renyi(20, 0.2, rng=1)
-        with pytest.raises(ConfigError, match="covers"):
-            partition_graph(graph, ShardMap(19, 2))
 
 
 # ---------------------------------------------------------------------
@@ -285,6 +201,16 @@ class TestShardBankFormat:
         assert np.array_equal(
             loaded.estimate_source_many(residuals),
             restricted.estimate_source_many(residuals))
+
+    def test_restricted_bank_keeps_the_build_provenance(self, graph30):
+        index = ForestIndex.build(graph30, ALPHA, 4, rng=SEED,
+                                  variance_mode="stratified")
+        restricted = index.restrict(np.arange(5), shard_index=0,
+                                    shard_count=2)
+        assert restricted.build_counters == index.build_counters
+        _, meta = restricted.bank_arrays()
+        assert meta["variance_mode"] == "stratified"
+        assert meta["shard_index"] == 0
 
     def test_older_manifest_versions_still_load(self, tmp_path,
                                                 graph30, index30):
@@ -458,6 +384,62 @@ class TestShardedManager:
         finally:
             manager.close_shared()
 
+    def test_shared_view_keeps_no_heap_copy(self, graph, monkeypatch):
+        """The restricted index is sliced to publish a shard bank and
+        dies once the shared-memory bank has copied it."""
+        import gc
+        import weakref
+
+        made = []
+        restrict = ForestIndex.restrict
+
+        def recording(self, *args, **kwargs):
+            restricted = restrict(self, *args, **kwargs)
+            made.append(weakref.ref(restricted))
+            return restricted
+
+        monkeypatch.setattr(ForestIndex, "restrict", recording)
+        manager = _manager(graph, shards=2)
+        try:
+            manager.shared_view("test", shard=0).release()
+            assert len(made) == 1
+            gc.collect()
+            assert made[0]() is None
+            # the published generation is reused, not sliced again
+            manager.shared_view("test", shard=0).release()
+            assert len(made) == 1
+        finally:
+            manager.close_shared()
+
+    @pytest.mark.parametrize("change", ["refresh", "mutate"])
+    def test_shard_bank_republished_at_new_generation(self, graph, change):
+        manager = _manager(graph, shards=2)
+        try:
+            view = manager.shared_view("test", shard=1)
+            old_handle = view.index_handle
+            view.release()
+            if change == "refresh":
+                manager.refresh("test", block=True)
+            else:
+                manager.mutate("test", GraphDelta().upsert_edge(0, 9, 2.0))
+            view = manager.shared_view("test", shard=1)
+            try:
+                assert view.generation == 1
+                assert view.index_handle != old_handle
+                assert view.index_handle.meta_dict["shard_index"] == 1
+                # the new shard bank is the new generation's rows
+                index = manager.get_index("test")
+                want, _ = index.restrict(
+                    manager.shard_map("test").local_nodes(1),
+                    shard_index=1, shard_count=2).bank_arrays()
+                with attach_bank(view.index_handle) as attached:
+                    for name, array in want.items():
+                        assert np.array_equal(attached.arrays[name], array)
+            finally:
+                view.release()
+        finally:
+            manager.close_shared()
+
     def test_shard_map_matches_strategy(self, graph):
         manager = _manager(graph, shards=4, shard_strategy="range")
         shard_map = manager.shard_map("test")
@@ -514,7 +496,8 @@ class TestShardRouter:
                                           items)
                 assert pickle.dumps(_without_timings(routed)) \
                     == pickle.dumps(_without_timings(expected)), kind
-            assert manager._restricted == {}
+            # one shard publishes the whole-space bank, no restriction
+            assert [key[2] for key in manager._shared_indexes] == [None]
             stats = router.stats()
             assert stats["mode"] == "process"
             assert stats["shard"] is None

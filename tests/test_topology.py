@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from tests import test_service
@@ -82,8 +83,10 @@ def test_topology_reproduces_golden(topology, bank, golden, request):
     finally:
         service.stop()
     assert served == golden
-    # a preloaded bank is attached operators, with no forest objects
-    assert (not index.forests) == (bank == "bank_dir")
+    # a preloaded bank folds over the saved files, mapped; a boot bank
+    # over the operators it built
+    mapped = isinstance(index._operators.tree_sum.data.base, np.memmap)
+    assert mapped == (bank == "bank_dir")
     assert layout == {"thread": "thread", "process-1shard": "process",
                       "process-2shards": "sharded"}[topology]
     assert _segments() - before == set()

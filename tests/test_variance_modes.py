@@ -70,7 +70,7 @@ class TestUnbiasedness:
         residual[0] = 1.0
         index = ForestIndex.build(graph, ALPHA, 64, rng=5,
                                   variance_mode="stratified")
-        estimate = index.estimate_source(residual)
+        estimate = index.estimate_source_many(residual)[0]
         assert estimate.sum() == pytest.approx(1.0)
         # a pure forest fold (no push stage) at F=64 is a loose
         # estimate; this is a bias sanity check, the variance claims
