@@ -797,15 +797,16 @@ def _cmd_index(args: argparse.Namespace) -> int:
           f"{meta.get('variance_mode', 'improved')}")
     print(f"  {'arrays':16s} {len(manifest['arrays'])}")
     print(f"  {'payload_bytes':16s} {payload}")
-    # per-operator rollup: the three CSR arrays of each fold operator,
-    # so layout/dtype experiments can see where the bytes live
-    for op in ("tree_sum", "spread_source", "scatter_root",
-               "spread_target", "gather_root"):
-        parts = [f"{op}_{suffix}" for suffix in
-                 ("indptr", "indices", "data")]
-        if all(part in manifest["arrays"] for part in parts):
-            op_bytes = sum(manifest["arrays"][part]["nbytes"]
-                           for part in parts)
+    # per-operator rollup: the arrays each fold operator stores (in v4,
+    # spread_target only its values: it shares spread_source's
+    # pattern), so layout/dtype experiments can see where the bytes live
+    from repro.montecarlo.forest_index import _OPERATOR_NAMES
+
+    for op in _OPERATOR_NAMES:
+        specs = [manifest["arrays"].get(f"{op}_{part}")
+                 for part in ("indptr", "indices", "data")]
+        if specs[-1] is not None:
+            op_bytes = sum(spec["nbytes"] for spec in specs if spec)
             print(f"    operator {op:16s} {op_bytes:>12d} bytes")
     for name in sorted(manifest["arrays"]):
         spec = manifest["arrays"][name]

@@ -33,10 +33,17 @@ from repro.graph.csr import Graph
 
 __all__ = ["ForestIndex", "degree_checksum", "BANK_DTYPES"]
 
-#: Sparse operators exported to / rebuilt from array banks, in a fixed
-#: order so bank layouts are deterministic.
-_OPERATOR_NAMES = ("tree_sum", "spread_source", "scatter_root",
-                   "spread_target", "gather_root")
+#: The fold operators, in a fixed order.  ``spread_source`` and
+#: ``spread_target`` are ``Q`` under two value arrays: one pattern.
+_OPERATOR_NAMES = ("tree_sum", "spread_source", "spread_target")
+
+#: The arrays of a bank (format v4): each operator's CSR arrays, Q's
+#: pattern once, plus the per-segment and degree-zero vectors.  A shard
+#: bank adds ``local_nodes``.
+_BANK_ARRAYS = ("degree_zero", "segment_root", "segment_degree",
+                "tree_sum_indptr", "tree_sum_indices", "tree_sum_data",
+                "spread_source_indptr", "spread_source_indices",
+                "spread_source_data", "spread_target_data")
 
 #: Storage dtypes for the operator value arrays (format v3).
 BANK_DTYPES = ("float64", "float32")
@@ -44,14 +51,14 @@ BANK_DTYPES = ("float64", "float32")
 #: Arrays cast to float32 under ``bank_dtype="float32"`` (the operator
 #: values plus the segment degree-mass vector they were derived from).
 _FLOAT_BANK_ARRAYS = frozenset(
-    {f"{name}_data" for name in _OPERATOR_NAMES} | {"segment_degree"})
+    {name for name in _BANK_ARRAYS if name.endswith("_data")}
+    | {"segment_degree"})
 
 #: Index arrays narrowed to int32 under ``bank_dtype="float32"`` (CSR
 #: structure; int32 is scipy's native index dtype and exact as long as
 #: dimensions stay below 2³¹).
 _INDEX_BANK_ARRAYS = frozenset(
-    {f"{name}_indptr" for name in _OPERATOR_NAMES}
-    | {f"{name}_indices" for name in _OPERATOR_NAMES})
+    name for name in _BANK_ARRAYS if name.endswith(("_indptr", "_indices")))
 
 
 def _csr(shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
@@ -108,16 +115,24 @@ def _private_copies(*arrays: np.ndarray) -> list[np.ndarray]:
     return copies
 
 
-def _transposed(matrix):
-    """The CSR transpose of a CSR matrix, by counting sort.
+def _owned_rows(local_nodes: np.ndarray | None, nodes: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The output rows of ``nodes`` on a bank whose rows are
+    ``local_nodes`` (``None``: the whole node space, row = node id),
+    and which of ``nodes`` those rows hold."""
+    if local_nodes is None:
+        return nodes, slice(None)
+    positions = np.searchsorted(local_nodes, nodes)
+    in_range = positions < local_nodes.size
+    owned = np.zeros(nodes.size, dtype=bool)
+    owned[in_range] = local_nodes[positions[in_range]] == nodes[in_range]
+    return positions[owned], owned
 
-    Row ``j`` of the result lists the rows ``i`` holding column ``j``
-    in ascending order, whatever the order of the input rows' columns,
-    so the result has sorted indices and needs no sort pass.
-    """
-    columns = matrix.tocsc()
-    return _csr(matrix.shape[::-1], columns.indptr, columns.indices,
-                columns.data)
+
+def _unit(matrix):
+    """``matrix``'s pattern with every stored value 1.0."""
+    return _csr(matrix.shape, matrix.indptr, matrix.indices,
+                np.ones(matrix.nnz))
 
 
 def degree_checksum(graph: Graph) -> int:
@@ -151,12 +166,16 @@ class _BankOperators:
     independently, so each query's answer is bit-identical for every
     batch size and composition.
 
+    The basic estimators read only each tree's root, so they fold from
+    ``Q``'s pattern and :attr:`segment_root` (see
+    :meth:`ForestIndex.estimate_source_many`); no operator of their own
+    is stored.
+
     **Build.**  The operators are written in CSR form directly: a
     forest's segments come from its root mask and a cumsum (no sort),
     the node-major ``Q`` rows hold exactly one entry per forest (a
-    regular ``indptr``), ``tree_sum`` is the counting-sort transpose
-    of that pattern and ``gather_root`` the transpose of
-    ``scatter_root @ tree_sum``.  Every array is byte-equal to the
+    regular ``indptr``), and ``tree_sum`` is the counting-sort
+    transpose of that pattern.  Every array is byte-equal to the
     COO-built operators of ``tests/bank_operators_oracle.py``.
     """
 
@@ -207,31 +226,17 @@ class _BankOperators:
             offset += root_ids.size
 
         q_shape = (num_nodes, offset)
-        # P: per-tree residual sums.  Transposing the Q pattern lists
-        # each segment's members in node order; one-byte values keep
-        # the transpose's scratch small.
-        members = _transposed(_csr(q_shape, q_indptr, columns,
-                                   np.ones(nnz, dtype=bool)))
+        # P: per-tree residual sums.  The CSC form of the Q pattern
+        # (scipy's counting sort) lists each segment's members in node
+        # order; one-byte values keep its scratch small.
+        members = _csr(q_shape, q_indptr, columns,
+                       np.ones(nnz, dtype=bool)).tocsc()
         tree_indices[:] = members.indices
         tree_data.fill(1.0)
-        segment_root = np.concatenate(seg_roots)
-        # each root's segments, in segment order (unit counts)
-        roots = _transposed(_csr(
-            (offset, num_nodes), np.arange(offset + 1, dtype=index_dtype),
-            segment_root.astype(index_dtype),
-            np.ones(offset, dtype=np.int32)))
-        # basic target needs no segment space: est[v] = Σ_f r(root_f(v)).
-        # Row r of roots @ members counts, per node, the forests whose
-        # tree at root r holds it; transposed, row v lists v's roots in
-        # ascending order with those counts.
-        counts = _transposed(roots @ members)
-        (tree_indptr, self.segment_root, self.segment_degree,
-         scatter_indptr, scatter_indices, scatter_data, gather_indptr,
-         gather_indices, gather_data) = _private_copies(
-            members.indptr, segment_root, np.concatenate(seg_degree),
-            roots.indptr, roots.indices, np.ones(offset), counts.indptr,
-            counts.indices, counts.data.astype(np.float64))
-        del members, roots, counts
+        tree_indptr, self.segment_root, self.segment_degree = \
+            _private_copies(members.indptr, np.concatenate(seg_roots),
+                            np.concatenate(seg_degree))
+        del members
 
         self.num_forests = num_forests
         # whole-node-space operators: output rows ARE global node ids
@@ -244,36 +249,30 @@ class _BankOperators:
         # sparsity pattern)
         self.spread_source = _csr(q_shape, q_indptr, columns, source_data)
         self.spread_target = _csr(q_shape, q_indptr, columns, target_data)
-        self.scatter_root = _csr(q_shape, scatter_indptr, scatter_indices,
-                                 scatter_data)
-        self.gather_root = _csr((num_nodes, num_nodes), gather_indptr,
-                                gather_indices, gather_data)
 
     # ------------------------------------------------------------------
     # Array-bank (de)hydration — the zero-copy serving representation
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flatten every operator into named CSR triplets.
+        """Flatten the operators into the named arrays of
+        :data:`_BANK_ARRAYS`.
 
         The result is exactly what :class:`repro.parallel.shared_bank`
         carriers transport: ``<op>_indptr`` / ``<op>_indices`` /
-        ``<op>_data`` per operator, plus the degree-zero node list and
-        the per-segment root / degree-mass vectors.
+        ``<op>_data`` per operator, except that ``spread_target``
+        contributes only its values (it shares ``spread_source``'s
+        pattern), plus the degree-zero node list and the per-segment
+        root / degree-mass vectors.
         """
-        arrays: dict[str, np.ndarray] = {
-            "degree_zero": self.degree_zero,
-            "segment_root": self.segment_root,
-            "segment_degree": self.segment_degree,
-        }
+        tree_sum, q = self.tree_sum, self.spread_source
+        arrays = dict(zip(_BANK_ARRAYS, (
+            self.degree_zero, self.segment_root, self.segment_degree,
+            tree_sum.indptr, tree_sum.indices, tree_sum.data,
+            q.indptr, q.indices, q.data, self.spread_target.data)))
         if self.local_nodes is not None:
             # shard-restricted bank: output rows are local positions
             # into this owned-node list (degree_zero included)
             arrays["local_nodes"] = self.local_nodes
-        for name in _OPERATOR_NAMES:
-            matrix = getattr(self, name)
-            arrays[f"{name}_indptr"] = matrix.indptr
-            arrays[f"{name}_indices"] = matrix.indices
-            arrays[f"{name}_data"] = matrix.data
         return arrays
 
     @classmethod
@@ -281,12 +280,23 @@ class _BankOperators:
                     num_nodes: int, num_forests: int) -> "_BankOperators":
         """Rebuild operators over bank arrays without copying them
         (see :func:`_csr`), so a shared-memory or memmap attach stays
-        zero-copy."""
+        zero-copy.
+
+        Any bank version reads: the arrays v1–v3 stored besides
+        :data:`_BANK_ARRAYS` (the two root operators, ``spread_target``'s
+        copy of the pattern) are ignored.  A missing array is a
+        :class:`~repro.exceptions.ConfigError` naming it.
+        """
+        missing = [name for name in _BANK_ARRAYS if name not in arrays]
+        if missing:
+            raise ConfigError(
+                f"bank is missing array(s) {', '.join(missing)}")
+        array = {name: np.asarray(arrays[name]) for name in _BANK_ARRAYS}
         ops = object.__new__(cls)
         ops.num_forests = int(num_forests)
-        ops.degree_zero = np.asarray(arrays["degree_zero"])
-        ops.segment_root = np.asarray(arrays["segment_root"])
-        ops.segment_degree = np.asarray(arrays["segment_degree"])
+        ops.degree_zero = array["degree_zero"]
+        ops.segment_root = array["segment_root"]
+        ops.segment_degree = array["segment_degree"]
         local = arrays.get("local_nodes")
         ops.local_nodes = None if local is None else np.asarray(local)
         if ops.local_nodes is None:
@@ -296,18 +306,17 @@ class _BankOperators:
             num_rows = ops.local_nodes.size
             ops.degree_zero_nodes = ops.local_nodes[ops.degree_zero]
         num_segments = ops.segment_root.size
-        shapes = {
-            "tree_sum": (num_segments, num_nodes),
-            "spread_source": (num_rows, num_segments),
-            "scatter_root": (num_rows, num_segments),
-            "spread_target": (num_rows, num_segments),
-            "gather_root": (num_rows, num_nodes),
-        }
-        for name in _OPERATOR_NAMES:
-            setattr(ops, name, _csr(
-                shapes[name], np.asarray(arrays[f"{name}_indptr"]),
-                np.asarray(arrays[f"{name}_indices"]),
-                np.asarray(arrays[f"{name}_data"])))
+        ops.tree_sum = _csr((num_segments, num_nodes),
+                            array["tree_sum_indptr"],
+                            array["tree_sum_indices"],
+                            array["tree_sum_data"])
+        q_shape = (num_rows, num_segments)
+        q_indptr = array["spread_source_indptr"]
+        q_indices = array["spread_source_indices"]
+        ops.spread_source = _csr(q_shape, q_indptr, q_indices,
+                                 array["spread_source_data"])
+        ops.spread_target = _csr(q_shape, q_indptr, q_indices,
+                                 array["spread_target_data"])
         return ops
 
     @classmethod
@@ -343,32 +352,25 @@ class _BankOperators:
         ops = object.__new__(cls)
         ops.num_forests = source.num_forests
         ops.local_nodes = local_nodes
-        spread_source = source.spread_source[local_nodes]
-        scatter_root = source.scatter_root[local_nodes]
-        spread_target = source.spread_target[local_nodes]
-        ops.gather_root = source.gather_root[local_nodes]
-        # segments touched by any owned row (scatter_root's columns
-        # are a subset: a root is a member of its own segment)
-        needed = np.unique(np.concatenate(
-            (spread_source.indices, scatter_root.indices,
-             spread_target.indices))) if local_nodes.size \
-            else np.empty(0, dtype=spread_source.indices.dtype)
+        # slice Q's pattern once; its values are the positions of the
+        # kept entries, which both value arrays are gathered by
+        q = source.spread_source
+        pattern = _csr(q.shape, q.indptr, q.indices,
+                       np.arange(q.nnz))[local_nodes]
+        # segments touched by any owned row
+        needed = np.unique(pattern.indices)
         ops.tree_sum = source.tree_sum[needed]
         ops.segment_root = np.asarray(source.segment_root)[needed]
         ops.segment_degree = np.asarray(source.segment_degree)[needed]
-        for name, sliced in (("spread_source", spread_source),
-                             ("scatter_root", scatter_root),
-                             ("spread_target", spread_target)):
-            setattr(ops, name, _csr(
-                (sliced.shape[0], int(needed.size)), sliced.indptr,
-                np.searchsorted(needed, sliced.indices)
-                .astype(sliced.indices.dtype), sliced.data))
+        q_shape = (local_nodes.size, needed.size)
+        q_indices = np.searchsorted(needed, pattern.indices).astype(
+            pattern.indices.dtype)
+        ops.spread_source = _csr(q_shape, pattern.indptr, q_indices,
+                                 q.data[pattern.data])
+        ops.spread_target = _csr(q_shape, pattern.indptr, q_indices,
+                                 source.spread_target.data[pattern.data])
         dz = np.asarray(source.degree_zero_nodes)
-        positions = np.searchsorted(local_nodes, dz)
-        in_range = positions < local_nodes.size
-        owned = np.zeros(dz.size, dtype=bool)
-        owned[in_range] = local_nodes[positions[in_range]] == dz[in_range]
-        ops.degree_zero = positions[owned]          # local rows
+        ops.degree_zero, owned = _owned_rows(local_nodes, dz)  # local rows
         ops.degree_zero_nodes = dz[owned]           # global node ids
         return ops
 
@@ -380,7 +382,7 @@ class ForestIndex:
     Every index is the same object however it came to be — sampled by
     :meth:`build`, attached to saved or shared arrays by
     :meth:`attach_bank` / :meth:`load_bank`, or cut to one shard's
-    rows by :meth:`restrict`: the five CSR operators of
+    rows by :meth:`restrict`: the three CSR operators of
     :class:`_BankOperators` (what §5.3's fold reads of each forest —
     every node's tree and that tree's degree mass), folded by
     :meth:`estimate_source_many` / :meth:`estimate_target_many`.  The
@@ -534,13 +536,12 @@ class ForestIndex:
 
     @property
     def resident_bytes(self) -> int:
-        """Bytes of the fold operators' arrays (an array two operators
-        share counts once) — what a serving generation keeps, and what
-        the service's memory accounting reports."""
+        """Bytes of the fold operators' arrays (Q's pattern, which two
+        operators share, counts once) — what a serving generation
+        keeps, and what the service's memory accounting reports."""
         if self._ops is None:  # a repairable bank not folded yet
             return 0
-        arrays = {id(array): array for array in self._ops.to_arrays().values()}
-        return sum(array.nbytes for array in arrays.values())
+        return sum(array.nbytes for array in self._ops.to_arrays().values())
 
     @staticmethod
     def _check_graph_match(graph: Graph, num_nodes: int,
@@ -601,7 +602,7 @@ class ForestIndex:
         The one layout option (bank format v3) is applied at
         serialization time only: ``bank_dtype="float32"`` stores
         operator values in float32 and CSR indices in int32, cutting
-        the bank's bytes to ~0.68×; folds then run from rounded
+        the bank's bytes to ~0.64×; folds then run from rounded
         operator entries, so answers carry a bounded relative error
         instead of being byte-identical (see BENCHMARKING.md for the
         measured bound).  Operator rows are always node ids.
@@ -756,8 +757,18 @@ class ForestIndex:
         """The whole-bank sparse fold operators."""
         return self._ops
 
-    def _as_batch(self, residuals: np.ndarray) -> np.ndarray:
-        """Validate and transpose a ``(B, n)`` batch to ``(n, B)``."""
+    def _as_batch(self, residuals: np.ndarray, improved: bool
+                  ) -> np.ndarray:
+        """Validate and transpose a ``(B, n)`` batch to ``(n, B)``.
+
+        The improved estimators are biased on a directed graph (see
+        ``docs/THEORY.md``), so a directed index folds only the basic
+        ones — the rule the query methods apply too.
+        """
+        if improved and self.graph.directed:
+            raise ConfigError(
+                "the improved estimators need an undirected graph; fold "
+                "a directed graph with improved=False")
         residuals = np.atleast_2d(np.asarray(residuals, dtype=np.float64))
         if residuals.shape[1] != self.graph.num_nodes:
             raise ConfigError(
@@ -777,12 +788,24 @@ class ForestIndex:
         for every batch size and composition (CSR rows accumulate each
         column independently in a fixed nonzero order), which is what
         makes batched serving byte-equal to per-query solving.
+
+        The basic estimator gives a tree's whole sum to its root: a
+        unit operator from :attr:`_BankOperators.segment_root`, built
+        per call, whose rows add each root's trees in segment order.
         """
-        batch = self._as_batch(residuals)
+        import scipy.sparse as sparse
+
+        batch = self._as_batch(residuals, improved)
         ops = self._operators
         tree_sums = ops.tree_sum @ batch
-        spread = ops.spread_source if improved else ops.scatter_root
-        estimates = spread @ tree_sums
+        if improved:
+            estimates = ops.spread_source @ tree_sums
+        else:
+            rows, owned = _owned_rows(ops.local_nodes, ops.segment_root)
+            segments = np.arange(ops.segment_root.size)[owned]
+            roots = sparse.csr_matrix((np.ones(rows.size), (rows, segments)),
+                                      shape=ops.spread_source.shape)
+            estimates = roots @ tree_sums
         estimates /= ops.num_forests
         if improved and ops.degree_zero.size:
             # degree-0 singletons: the estimator returns the node's own
@@ -795,11 +818,16 @@ class ForestIndex:
 
     def estimate_target_many(self, residuals: np.ndarray, *,
                              improved: bool = True) -> np.ndarray:
-        """Single-target analogue of :meth:`estimate_source_many`."""
-        batch = self._as_batch(residuals)
+        """Single-target analogue of :meth:`estimate_source_many`.
+
+        The basic estimator sums, at each node, the residual at its
+        root in every forest: a unit-valued ``Q`` times the residuals
+        at the segment roots, in forest order.
+        """
+        batch = self._as_batch(residuals, improved)
         ops = self._operators
         if not improved:
-            estimates = ops.gather_root @ batch
+            estimates = _unit(ops.spread_target) @ batch[ops.segment_root]
             estimates /= ops.num_forests
             return estimates.T
         tree_sums = ops.tree_sum @ (batch * self.graph.degrees[:, None])
@@ -826,7 +854,7 @@ class ForestIndex:
         that order, so ``estimate_target_entries(R, e)[b]`` equals
         ``estimate_target_many(R)[b, e[b]]`` bit-for-bit.
         """
-        batch = self._as_batch(residuals)
+        batch = self._as_batch(residuals, improved)
         entries = np.asarray(entries, dtype=np.int64)
         if entries.shape != (batch.shape[1],):
             raise ConfigError(
@@ -837,25 +865,18 @@ class ForestIndex:
             raise ConfigError("entry node out of range")
         ops = self._operators
         rows = np.arange(entries.size)
-        if ops.local_nodes is None:
-            op_rows = entries
-        else:
-            # shard bank: operator rows are local positions; every
-            # requested entry must be owned by this shard (the router
-            # splits pair batches by source ownership)
-            op_rows = np.searchsorted(ops.local_nodes, entries)
-            in_range = op_rows < ops.local_nodes.size
-            if entries.size and (not in_range.all() or not np.array_equal(
-                    ops.local_nodes[op_rows[in_range]],
-                    entries[in_range])):
-                raise ConfigError(
-                    "entry node(s) not owned by this shard")
+        # shard bank: operator rows are local positions; every
+        # requested entry must be owned by this shard (the router
+        # splits pair batches by source ownership)
+        op_rows, _ = _owned_rows(ops.local_nodes, entries)
+        if op_rows.size != entries.size:
+            raise ConfigError("entry node(s) not owned by this shard")
+        sub = ops.spread_target[op_rows]
         if not improved:
-            sub = ops.gather_root[op_rows]
-            estimates = np.asarray(sub @ batch)[rows, rows]
+            estimates = np.asarray(
+                _unit(sub) @ batch[ops.segment_root])[rows, rows]
             return estimates / ops.num_forests
         tree_sums = ops.tree_sum @ (batch * self.graph.degrees[:, None])
-        sub = ops.spread_target[op_rows]
         estimates = np.asarray(sub @ tree_sums)[rows, rows]
         estimates = estimates / ops.num_forests
         zero = self.graph.degrees[entries] == 0

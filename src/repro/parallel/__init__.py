@@ -3,7 +3,7 @@
 See :mod:`repro.parallel.engine` for the chunked engine and its
 determinism contract, :mod:`repro.parallel.shared_bank` for the
 general named-array shared-memory / memmap carriers, and
-:mod:`repro.parallel.shared_graph` for the CSR-graph specialisation.
+:mod:`repro.parallel.shared_graph` for a graph's arrays in them.
 """
 
 from repro.parallel.engine import (
@@ -23,14 +23,12 @@ from repro.parallel.shared_bank import (
     load_array_bank,
     save_array_bank,
 )
-from repro.parallel.shared_graph import SharedCSRGraph
 
 __all__ = [
     "AttachedBank",
     "BankHandle",
     "DEFAULT_CHUNK_SIZE",
     "SharedArrayBank",
-    "SharedCSRGraph",
     "StageResult",
     "attach_bank",
     "bank_manifest",

@@ -3,9 +3,9 @@
 The Monte-Carlo stage of every two-stage algorithm draws ω independent
 forests and folds each through an estimator — embarrassingly parallel
 across forests.  This engine splits the batch into *chunks*, runs each
-chunk in a worker process over shared read-only CSR arrays
-(:class:`~repro.parallel.shared_graph.SharedCSRGraph`), and merges the
-per-chunk accumulators in chunk order.
+chunk in a forked worker process (which inherits the graph with the
+rest of the pool's initial arguments: nothing is pickled but the
+tasks), and merges the per-chunk accumulators in chunk order.
 
 Determinism contract
 --------------------
@@ -40,7 +40,6 @@ from repro.forests.estimators import accumulate_estimates
 from repro.forests.forest import RootedForest
 from repro.forests.sampling import sample_forests
 from repro.graph.csr import Graph
-from repro.parallel.shared_graph import SharedCSRGraph
 from repro.rng import spawn_children
 
 __all__ = ["plan_chunks", "resolve_workers", "sample_forests_parallel",
@@ -167,23 +166,23 @@ def _run_chunked(graph: Graph, ctx: dict, runner, tasks: list,
                  workers: int) -> tuple[list, int]:
     """Run ``runner`` over ``tasks``, in a pool or serially.
 
-    Returns ``(results_in_task_order, workers_used)``.  The pool path
-    shares the CSR arrays; the serial path runs the identical closures
+    Returns ``(results_in_task_order, workers_used)``.  Forked pool
+    workers inherit ``initargs`` (the graph included) instead of
+    unpickling them; the serial path runs the identical closures
     in-process, so both produce the same results bit for bit.
     """
     effective = min(workers, len(tasks))
+    worker_ctx = dict(ctx, graph=graph)
     if effective <= 1 or not _fork_available():
-        _init_worker(dict(ctx, graph=graph))
+        _init_worker(worker_ctx)
         try:
             return [runner(task) for task in tasks], 1
         finally:
             _WORKER_CTX.clear()
     mp_ctx = multiprocessing.get_context("fork")
-    with SharedCSRGraph(graph) as shared:
-        worker_ctx = dict(ctx, graph=shared.graph)
-        with mp_ctx.Pool(processes=effective, initializer=_init_worker,
-                         initargs=(worker_ctx,)) as pool:
-            results = pool.map(runner, tasks, chunksize=1)
+    with mp_ctx.Pool(processes=effective, initializer=_init_worker,
+                     initargs=(worker_ctx,)) as pool:
+        results = pool.map(runner, tasks, chunksize=1)
     return results, effective
 
 

@@ -1,12 +1,12 @@
 r"""General named-array banks: shared memory and memmap carriers.
 
-:mod:`repro.parallel.shared_graph` solved one instance of a recurring
-problem — hand a worker process large read-only NumPy arrays without
-pickling them — for the CSR arrays of a graph and only for
-fork-inherited workers.  The serving tier needs the general form:
+The forest-sampling engine's pool workers are forked, so they simply
+inherit the graph they read.  The serving tier has to hand worker
+processes large read-only NumPy arrays without pickling them, in the
+general form:
 
 - **any** named collection of arrays (a forest bank's stacked roots,
-  the five ``_BankOperators`` CSR operators, a graph's CSR triplet),
+  the three ``_BankOperators`` CSR operators, a graph's CSR triplet),
 - attachable **by name** from a process that did *not* inherit the
   mapping (the query executor's long-lived workers outlive index
   refreshes, so they must be able to attach to segments created after
@@ -60,11 +60,15 @@ __all__ = [
 #: ``node_order`` / ``variance_mode`` meta keys, with operator values
 #: optionally stored as float32/int32.  ``node_order`` is always
 #: ``"none"``: a v3 bank written with relabeled rows (a
-#: ``node_order`` array) is refused on attach.  Both changes are
-#: additive — readers default missing keys to node-id rows and
-#: float64 — so v1/v2 banks stay readable; :func:`bank_manifest`
-#: rejects only versions *newer* than this.
-BANK_FORMAT_VERSION = 3
+#: ``node_order`` array) is refused on attach.  v4 stores three fold
+#: operators over one pattern (``spread_target`` keeps only its
+#: values) and drops the two root operators; a v4 bank is therefore
+#: unreadable to a v3 reader, which this version number makes it
+#: refuse.  Every change is otherwise additive — readers default
+#: missing keys to node-id rows and float64 and ignore the arrays v4
+#: no longer reads — so v1–v3 banks stay readable;
+#: :func:`bank_manifest` rejects only versions *newer* than this.
+BANK_FORMAT_VERSION = 4
 
 _MANIFEST = "manifest.json"
 

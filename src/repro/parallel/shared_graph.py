@@ -1,18 +1,13 @@
-"""Read-only CSR arrays in ``multiprocessing.shared_memory``.
+"""A graph as named arrays, for the bank carriers.
 
-The forest samplers only ever *read* the graph — ``indptr``,
-``indices`` and (optionally) ``weights`` — so worker processes can run
-against one shared copy instead of pickling the arrays into every
-task.  :class:`SharedCSRGraph` is the graph-shaped specialisation of
-the general :class:`~repro.parallel.shared_bank.SharedArrayBank`
-carrier: it owns one bank holding the CSR triplet, exposes a
-:class:`~repro.graph.csr.Graph` whose arrays are views into it, and
-cleans the segments up on :meth:`close`.
-
-The sampling engine uses the ``fork`` start method, so its workers
-inherit the parent's mapping directly; the serving executor's
-longer-lived workers instead attach by name through
-:meth:`SharedCSRGraph.handle` (see :mod:`repro.service.executor`).
+A :class:`~repro.graph.csr.Graph` is read-only CSR — ``indptr``,
+``indices`` and (optionally) ``weights`` — so it travels like any
+other bank: :func:`graph_bank_arrays` names its arrays for a
+:class:`~repro.parallel.shared_bank.SharedArrayBank`, and :func:`graph_from_bank` rebuilds the graph over the
+attached views without a copy.  The index manager publishes each
+graph this way, and the serving executor's long-lived workers attach
+to it by name (see :mod:`repro.service.executor`); the sampling
+engine's forked workers inherit the graph itself.
 """
 
 from __future__ import annotations
@@ -20,13 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.parallel.shared_bank import (
-    AttachedBank,
-    BankHandle,
-    SharedArrayBank,
-)
 
-__all__ = ["SharedCSRGraph", "graph_bank_arrays", "graph_from_bank"]
+__all__ = ["graph_bank_arrays", "graph_from_bank"]
 
 
 def graph_bank_arrays(graph: Graph) -> tuple[dict[str, np.ndarray], dict]:
@@ -48,62 +38,3 @@ def graph_from_bank(arrays: dict[str, np.ndarray], meta: dict) -> Graph:
     return Graph(arrays["indptr"], arrays["indices"],
                  arrays.get("weights"), directed=bool(meta["directed"]),
                  validate=False)
-
-
-class SharedCSRGraph:
-    """A :class:`Graph` whose CSR arrays live in shared memory.
-
-    Use as a context manager around a parallel sampling run::
-
-        with SharedCSRGraph(graph) as shared:
-            pool_work(shared.graph)   # workers inherit the mapping
-
-    The wrapped :attr:`graph` is structurally identical to the source
-    graph (same arrays bit for bit) but is backed by shared pages, so
-    forked workers read it without any copy, and :attr:`handle` lets a
-    non-inheriting process attach by segment name.
-    """
-
-    def __init__(self, source: Graph):
-        arrays, meta = graph_bank_arrays(source)
-        self._bank: SharedArrayBank | None = SharedArrayBank(arrays, meta)
-        self.graph = graph_from_bank(self._bank.arrays, meta)
-
-    @property
-    def handle(self) -> BankHandle:
-        """Picklable attach-by-name handle for the CSR segments."""
-        if self._bank is None:
-            raise RuntimeError("SharedCSRGraph is closed")
-        return self._bank.handle
-
-    @classmethod
-    def attach(cls, handle: BankHandle) -> tuple[Graph, AttachedBank]:
-        """Attach to another process's shared CSR graph by handle.
-
-        Returns ``(graph, attached_bank)`` — keep the bank alive for
-        as long as the graph is used.
-        """
-        bank = AttachedBank(handle)
-        return graph_from_bank(bank.arrays, bank.meta), bank
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release and unlink every shared block (idempotent)."""
-        if self._bank is None:
-            return
-        # drop the numpy views before closing their backing buffers
-        self.graph = None  # type: ignore[assignment]
-        self._bank.close()
-        self._bank = None
-
-    def __enter__(self) -> "SharedCSRGraph":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -1,12 +1,19 @@
 """COO-built reference for the whole-bank fold operators.
 
-:func:`coo_bank_operators` builds the five CSR operators of
+:func:`coo_bank_operators` builds the three CSR operators of
 :class:`repro.montecarlo.forest_index._BankOperators` the direct way:
 per-forest ``argsort`` segments, COO triplets, and scipy's COO → CSR
 conversion (which sorts each row and sums duplicates).  The production
 build derives the same arrays with a root-mask cumsum, a regular
-node-major indptr and counting-sort transposes;
+node-major indptr and a counting-sort transpose;
 ``tests/test_bank_operators.py`` asserts the two agree byte for byte.
+
+:func:`root_operators` builds the two operators that bank formats
+v1–v3 also stored for the basic estimators — ``scatter_root`` (each
+root's segments) and ``gather_root`` (each node's roots, with
+counts) — so the basic folds, which now read ``Q``'s pattern and
+the segment roots, can be checked against them, and a v3-layout
+bank can be written.
 
 :class:`PerForestIndex` is the fold the direct way: every forest's
 estimator from :mod:`repro.forests.estimators`, averaged over the bank.
@@ -72,7 +79,6 @@ def coo_bank_operators(forests, degrees) -> _BankOperators:
     seg_cols = []      # global segment id per (forest, node)
     seg_roots = []     # root node of each global segment
     seg_degree = []    # safe degree mass of each global segment
-    root_cols = []     # roots[v] per (forest, node), for basic target
     offset = 0
     for forest in forests:
         labels = forest.roots
@@ -92,7 +98,6 @@ def coo_bank_operators(forests, degrees) -> _BankOperators:
         seg_cols.append(seg_of + offset)
         seg_roots.append(root_ids)
         seg_degree.append(np.where(tree_degree > 0, tree_degree, 1.0))
-        root_cols.append(labels)
         offset += root_ids.size
 
     cols = np.concatenate(seg_cols)
@@ -111,13 +116,27 @@ def coo_bank_operators(forests, degrees) -> _BankOperators:
     ops.spread_source = sparse.csr_matrix(
         (np.tile(degrees, len(forests)) / segment_degree[cols],
          (rows, cols)), shape=(num_nodes, offset))
-    ops.scatter_root = sparse.csr_matrix(
-        (np.ones(offset), (ops.segment_root, np.arange(offset))),
-        shape=(num_nodes, offset))
     ops.spread_target = sparse.csr_matrix(
         (1.0 / segment_degree[cols], (rows, cols)),
         shape=(num_nodes, offset))
-    ops.gather_root = sparse.csr_matrix(
-        (np.ones(rows.size), (rows, np.concatenate(root_cols))),
-        shape=(num_nodes, num_nodes))
     return ops
+
+
+def root_operators(forests, num_nodes):
+    """``(scatter_root, gather_root)`` of ``forests`` as format v1–v3
+    stored them: ``scatter_root`` (``n × ΣS``) holds a 1 at each
+    segment's root, ``gather_root`` (``n × n``) counts, per node, the
+    forests in which each root is its root."""
+    segment_root = np.concatenate([
+        np.flatnonzero(forest.roots == np.arange(num_nodes))
+        for forest in forests])
+    offset = segment_root.size
+    scatter_root = sparse.csr_matrix(
+        (np.ones(offset), (segment_root, np.arange(offset))),
+        shape=(num_nodes, offset))
+    rows = np.tile(np.arange(num_nodes), len(forests))
+    gather_root = sparse.csr_matrix(
+        (np.ones(rows.size),
+         (rows, np.concatenate([forest.roots for forest in forests]))),
+        shape=(num_nodes, num_nodes))
+    return scatter_root, gather_root

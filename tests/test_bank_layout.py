@@ -1,11 +1,13 @@
-"""Bank format v3: one layout, node-id rows, float64 or float32 values.
+"""Bank layout: node-id rows, float64 or float32 values, and the
+readers of older formats.
 
 The layout contract this file pins down:
 
 - ``bank_dtype="float32"`` halves the dominant bank bytes and keeps
   answers within the documented error bound;
 - v1/v2 banks (no layout metadata) still load, as node-id rows and
-  float64;
+  float64, and a v3 bank, with the arrays v4 no longer writes, folds
+  as its v4 twin;
 - a bank whose rows were relabeled (``node_order`` other than
   ``"none"``) is refused with a :class:`ConfigError` naming the
   rebuild command.
@@ -122,7 +124,8 @@ class TestFloat32Bank:
 
 
 class TestBackCompat:
-    """Pre-v3 banks carry no layout metadata and must keep loading."""
+    """Older banks keep loading: pre-v3 ones carry no layout metadata,
+    v3 ones two more operators and a second copy of Q's pattern."""
 
     def _save_as_version(self, index, path, version):
         index.save_bank(path)
@@ -143,6 +146,46 @@ class TestBackCompat:
         assert loaded.variance_mode == "improved"
         assert np.array_equal(index.estimate_source_many(residuals),
                               loaded.estimate_source_many(residuals))
+
+    def test_v3_layout_attaches_and_folds_as_v4(self, index, residuals,
+                                                tmp_path):
+        """A v3 bank also stored the basic folds' two root operators
+        and spread_target's own copy of Q's pattern; those are ignored,
+        and every improved fold is byte-equal to the v4 bank's, whole
+        and restricted."""
+        from tests.bank_operators_oracle import (root_operators,
+                                                 serial_bank_forests)
+
+        arrays, meta = index.bank_arrays()
+        forests = serial_bank_forests(index.graph, ALPHA, 6, 11)
+        operators = dict(zip(("scatter_root", "gather_root"),
+                             root_operators(forests, index.graph.num_nodes)))
+        arrays = dict(arrays,
+                      spread_target_indptr=arrays["spread_source_indptr"],
+                      spread_target_indices=arrays["spread_source_indices"])
+        for name, matrix in operators.items():
+            for part in ("indptr", "indices", "data"):
+                arrays[f"{name}_{part}"] = getattr(matrix, part)
+        path = tmp_path / "bank_v3"
+        save_array_bank(path, arrays, meta)
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 3
+        manifest_path.write_text(json.dumps(manifest))
+        assert len(manifest["arrays"]) == 18
+
+        loaded = ForestIndex.load_bank(path, index.graph)
+        owned = np.arange(0, index.graph.num_nodes, 2)
+        entries = owned[[0, 5, 9, 17]]
+        for new, old in ((index, loaded),
+                         (index.restrict(owned), loaded.restrict(owned))):
+            assert new.estimate_source_many(residuals).tobytes() == \
+                old.estimate_source_many(residuals).tobytes()
+            assert new.estimate_target_many(residuals).tobytes() == \
+                old.estimate_target_many(residuals).tobytes()
+            assert new.estimate_target_entries(
+                residuals, entries).tobytes() == \
+                old.estimate_target_entries(residuals, entries).tobytes()
 
     def test_newer_bank_is_refused(self, index, tmp_path):
         path = tmp_path / "bank_future"

@@ -7,6 +7,8 @@ forest, an all-singleton forest — must fold identically on both the
 freshly-built and the rehydrated path.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.exceptions import ConfigError
 from repro.graph import from_edges
 from repro.graph.generators import erdos_renyi
 from repro.montecarlo.forest_index import (
+    _BANK_ARRAYS,
+    _OPERATOR_NAMES,
     ForestIndex,
     _BankOperators,
     degree_checksum,
@@ -23,6 +27,7 @@ from repro.montecarlo.forest_index import (
 from tests.bank_operators_oracle import (
     PerForestIndex,
     coo_bank_operators,
+    root_operators,
     serial_bank_forests,
 )
 
@@ -41,6 +46,12 @@ def _assert_same_estimates(index, attached, residuals):
         assert np.array_equal(
             index.estimate_target_many(residuals, improved=improved),
             attached.estimate_target_many(residuals, improved=improved))
+
+
+def _directed_sink_graph():
+    # node 5 has no out-arcs (a sink), node 6 no arcs at all
+    return from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                       (1, 5), (3, 1)], directed=True, num_nodes=7)
 
 
 @pytest.fixture
@@ -146,8 +157,7 @@ class TestArrayRoundTrip:
         ops = index._operators
         rebuilt = _BankOperators.from_arrays(
             ops.to_arrays(), num_nodes=12, num_forests=5)
-        for name in ("tree_sum", "spread_source", "scatter_root",
-                     "spread_target", "gather_root"):
+        for name in _OPERATOR_NAMES:
             original, copy = getattr(ops, name), getattr(rebuilt, name)
             assert original.shape == copy.shape
             assert np.array_equal(original.indptr, copy.indptr)
@@ -162,8 +172,18 @@ class TestArrayRoundTrip:
                                              num_forests=2)
         assert rebuilt.tree_sum.data is arrays["tree_sum_data"]
         assert rebuilt.segment_root is not None
-        assert np.shares_memory(rebuilt.gather_root.indices,
-                                arrays["gather_root_indices"])
+        # spread_target is folded over spread_source's pattern
+        assert rebuilt.spread_target.indices is \
+            arrays["spread_source_indices"]
+        assert rebuilt.spread_target.indptr is arrays["spread_source_indptr"]
+
+    def test_whole_space_bank_holds_each_array_once(self):
+        graph = erdos_renyi(12, 0.3, rng=21)
+        arrays, _ = ForestIndex.build(graph, 0.15, 5, rng=21).bank_arrays()
+        assert sorted(arrays) == sorted(_BANK_ARRAYS)
+        assert len(arrays) == 10
+        contents = [array.tobytes() for array in arrays.values()]
+        assert len(set(contents)) == len(contents)
 
     def test_attached_index_is_the_saved_index(self, tmp_path):
         graph = erdos_renyi(6, 0.5, rng=4)
@@ -206,6 +226,18 @@ class TestGraphValidation:
         with pytest.raises(ConfigError, match="not a forest index"):
             ForestIndex.load_bank(tmp_path / "bank", graph)
 
+    def test_missing_member_is_named(self, tmp_path):
+        graph = erdos_renyi(10, 0.4, rng=1)
+        bank = tmp_path / "bank"
+        ForestIndex.build(graph, 0.2, 3, rng=0).save_bank(bank)
+        manifest = json.loads((bank / "manifest.json").read_text())
+        del manifest["arrays"]["spread_target_data"]
+        (bank / "manifest.json").write_text(json.dumps(manifest))
+        (bank / "spread_target_data.npy").unlink()
+        with pytest.raises(ConfigError,
+                           match="missing array.*spread_target_data"):
+            ForestIndex.load_bank(bank, graph)
+
 
 class TestCOOOracle:
     """The direct CSR build against the COO-built oracle
@@ -226,10 +258,7 @@ class TestCOOOracle:
                 integer=False, rng=23)
             alpha, count, seed = 0.05, 5, 2
         elif kind == "directed_sink":
-            # node 5 has no out-arcs (a sink), node 6 no arcs at all
-            graph = from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
-                                (4, 5), (1, 5), (3, 1)],
-                               directed=True, num_nodes=7)
+            graph = _directed_sink_graph()
             alpha, count, seed = 0.2, 8, 3
         elif kind == "one_forest":
             graph, alpha, count, seed = undirected, 0.3, 1, 4
@@ -249,9 +278,14 @@ class TestCOOOracle:
             assert array.dtype == other.dtype, name
             assert array.shape == other.shape, name
             assert array.tobytes() == other.tobytes(), name
-        for name in ("tree_sum", "spread_source", "scatter_root",
-                     "spread_target", "gather_root"):
+        for name in _OPERATOR_NAMES:
             assert getattr(left, name).shape == getattr(right, name).shape
+        # one pattern: spread_target's is spread_source's on both sides
+        for ops in (left, right):
+            assert ops.spread_target.indptr.tobytes() == \
+                ops.spread_source.indptr.tobytes()
+            assert ops.spread_target.indices.tobytes() == \
+                ops.spread_source.indices.tobytes()
         assert left.num_forests == right.num_forests
         assert np.array_equal(left.degree_zero_nodes,
                               right.degree_zero_nodes)
@@ -288,10 +322,7 @@ class TestSavedBankAnswersIndexedMethods:
         if request.param == "undirected":
             return erdos_renyi(40, 0.12, rng=31)
         if request.param == "directed":
-            # node 5 is a sink, node 6 has no arcs at all
-            return from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
-                               (4, 5), (1, 5), (3, 1)],
-                              directed=True, num_nodes=7)
+            return _directed_sink_graph()
         # triangle + edge + isolated node 5
         return from_edges([(0, 1), (1, 2), (0, 2), (3, 4)], num_nodes=6)
 
@@ -343,3 +374,87 @@ class TestFootprint:
         assert index.resident_bytes == sum(
             {id(array): array.nbytes
              for array in index._operators.to_arrays().values()}.values())
+
+
+class TestBasicFolds:
+    """The basic folds read Q's pattern and the segment roots; the root
+    operators bank formats v1–v3 stored for them
+    (:func:`tests.bank_operators_oracle.root_operators`) are the
+    reference: the source fold byte for byte, the target fold (which
+    now sums each node's roots in forest order instead of by distinct
+    root) within rounding."""
+
+    @pytest.fixture(params=["directed", "undirected"])
+    def bank(self, request):
+        if request.param == "directed":
+            graph, alpha, count, seed = _directed_sink_graph(), 0.2, 8, 3
+        else:
+            graph, alpha, count, seed = erdos_renyi(80, 0.06, rng=21), \
+                0.1, 6, 1
+        index = ForestIndex.build(graph, alpha, count, rng=seed)
+        forests = serial_bank_forests(graph, alpha, count, seed)
+        residuals = np.random.default_rng(4).random((5, graph.num_nodes))
+        return index, forests, residuals
+
+    def test_source_is_the_root_operator_fold(self, bank):
+        index, forests, residuals = bank
+        n = index.graph.num_nodes
+        scatter_root, _ = root_operators(forests, n)
+        tree_sums = index._operators.tree_sum @ residuals.T
+        want = (scatter_root @ tree_sums) / len(forests)
+        got = index.estimate_source_many(residuals, improved=False)
+        assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
+        owned = np.arange(0, n, 2)
+        shard = index.restrict(owned)
+        got = shard.estimate_source_many(residuals, improved=False)
+        assert got.tobytes() == \
+            np.ascontiguousarray(want[owned].T).tobytes()
+
+    def test_target_is_the_root_operator_fold(self, bank):
+        index, forests, residuals = bank
+        n = index.graph.num_nodes
+        _, gather_root = root_operators(forests, n)
+        want = (gather_root @ residuals.T).T / len(forests)
+        got = index.estimate_target_many(residuals, improved=False)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        owned = np.arange(1, n, 3)
+        shard = index.restrict(owned)
+        np.testing.assert_allclose(
+            shard.estimate_target_many(residuals, improved=False),
+            want[:, owned], rtol=1e-14, atol=0)
+
+    def test_pair_is_the_target_fold_entry(self, bank):
+        index, _, residuals = bank
+        n = index.graph.num_nodes
+        entries = np.arange(residuals.shape[0]) * 3 % n
+        full = index.estimate_target_many(residuals, improved=False)
+        got = index.estimate_target_entries(residuals, entries,
+                                            improved=False)
+        rows = np.arange(entries.size)
+        assert got.tobytes() == full[rows, entries].tobytes()
+        shard = index.restrict(np.unique(entries))
+        assert shard.estimate_target_entries(
+            residuals, entries, improved=False).tobytes() == got.tobytes()
+
+
+class TestImprovedNeedsUndirected:
+    """The improved estimators are biased on a directed graph, and the
+    operator fold pins in-tree sinks differently from the per-forest
+    estimators, so a directed index refuses to fold them."""
+
+    @pytest.mark.parametrize("fold", ["source", "target", "entries"])
+    def test_directed_index_refuses_improved(self, fold):
+        graph = _directed_sink_graph()
+        index = ForestIndex.build(graph, 0.2, 4, rng=3)
+        residuals = np.random.default_rng(0).random((2, 7))
+        call = {
+            "source": lambda improved: index.estimate_source_many(
+                residuals, improved=improved),
+            "target": lambda improved: index.estimate_target_many(
+                residuals, improved=improved),
+            "entries": lambda improved: index.estimate_target_entries(
+                residuals, np.array([5, 0]), improved=improved),
+        }[fold]
+        with pytest.raises(ConfigError, match="undirected"):
+            call(True)
+        assert np.isfinite(call(False)).all()

@@ -347,7 +347,7 @@ class TestCommands:
                      "--bank-dir", bank, "--dry-run"]) == 0
         assert bank in capsys.readouterr().out
 
-    @pytest.mark.parametrize("damage", ["manifest", "member"])
+    @pytest.mark.parametrize("damage", ["manifest", "member", "missing"])
     def test_serve_bank_dir_dry_run_rejects_damaged_bank(self, capsys,
                                                          tmp_path, damage):
         bank = tmp_path / "bank"
@@ -356,15 +356,22 @@ class TestCommands:
         capsys.readouterr()
         if damage == "manifest":
             (bank / "manifest.json").write_text("[1]")
-        else:
+        elif damage == "member":
             member = sorted(bank.glob("*.npy"))[0]
             member.write_bytes(member.read_bytes()[:member.stat().st_size
                                                    // 2])
+        else:  # a member gone from both the manifest and the directory
+            manifest = json.loads((bank / "manifest.json").read_text())
+            del manifest["arrays"]["spread_target_data"]
+            (bank / "manifest.json").write_text(json.dumps(manifest))
+            (bank / "spread_target_data.npy").unlink()
         assert main(["serve", "--graph", "youtube", "--scale", "0.05",
                      "--bank-dir", str(bank), "--dry-run"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "dry run: config ok" not in captured.out
+        if damage == "missing":
+            assert "spread_target_data" in captured.err
 
     @pytest.mark.parametrize("case,serve_args,match", [
         ("graph", ["--scale", "0.1", "--alpha", "0.1"], "nodes"),

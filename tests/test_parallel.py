@@ -19,7 +19,6 @@ from repro.graph.csr import Graph
 from repro.graph.generators import chung_lu
 from repro.parallel import (
     DEFAULT_CHUNK_SIZE,
-    SharedCSRGraph,
     StageResult,
     parallel_estimate_stage,
     plan_chunks,
@@ -84,32 +83,6 @@ class TestResolveWorkers:
             resolve_workers(-2)
         with pytest.raises(ConfigError):
             resolve_workers(1.5)
-
-
-class TestSharedCSRGraph:
-    def test_round_trip_bit_identical(self, graph):
-        with SharedCSRGraph(graph) as shared:
-            assert np.array_equal(shared.graph.indptr, graph.indptr)
-            assert np.array_equal(shared.graph.indices, graph.indices)
-            assert shared.graph.num_nodes == graph.num_nodes
-            assert shared.graph.directed == graph.directed
-
-    def test_views_are_read_only(self, graph):
-        with SharedCSRGraph(graph) as shared:
-            with pytest.raises(ValueError):
-                shared.graph.indices[0] = 0
-
-    def test_close_is_idempotent(self, graph):
-        shared = SharedCSRGraph(graph)
-        shared.close()
-        shared.close()
-        assert shared.graph is None
-
-    def test_weighted_graph_round_trip(self):
-        weighted = Graph(np.array([0, 2, 3, 4]), np.array([1, 2, 0, 0]),
-                         np.array([0.5, 1.5, 2.0, 1.0]), directed=True)
-        with SharedCSRGraph(weighted) as shared:
-            assert np.array_equal(shared.graph.weights, weighted.weights)
 
 
 class TestSampleForestsParallel:
