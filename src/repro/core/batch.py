@@ -23,12 +23,27 @@ and observed via :meth:`~_BatchSolverBase.stats` — bank size, queries
 served, cumulative push work.  :meth:`~_BatchSolverBase.close`
 releases an owned bank; a solver that merely borrowed an injected
 index leaves it untouched.
+
+Parallel pushes: a batch's pushes do not depend on one another, so
+when ``config.workers`` allows it and the pushes are large enough
+(:func:`push_pool_size`) they run on a persistent fork pool
+(:class:`~repro.parallel.pool.ForkPool`), at most one per graph and
+shared by every solver pushing on that graph.  The workers inherit the
+graph through the fork and call the same
+:func:`~repro.push.forward.balanced_forward_push` /
+:func:`~repro.push.backward.backward_push`, and the results come back
+in node order, so every answer is bit-identical to the serial loop.
+The pool is forked at the first batch that needs it and stopped when
+its last solver is closed or collected, or at interpreter exit.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -39,6 +54,8 @@ from repro.exceptions import ConfigError
 from repro.forests.estimators import weighted_combine
 from repro.graph.csr import Graph
 from repro.montecarlo.forest_index import ForestIndex
+from repro.parallel.engine import resolve_workers, usable_cpus
+from repro.parallel.pool import ForkPool, PoolBroken, can_fork
 from repro.push.backward import backward_push
 from repro.shard.partial import ShardPartial
 from repro.push.forward import balanced_forward_push
@@ -50,7 +67,92 @@ __all__ = [
     "BatchMultiSeedSolver",
     "BatchPairSolver",
     "normalize_seed_set",
+    "push_pool_size",
+    "PUSH_POOL_MIN_WORK",
+    "PUSH_POOL_MIN_WORK_PER_NODE",
 ]
+
+#: Mean edge traversals per push, per graph node, from which a batch's
+#: pushes run on the pool: a worker ships each
+#: :class:`~repro.push.forward.PushResult` back as two ``n``-vectors,
+#: so the round trip grows with ``n`` and the gain with the work.
+#: ``bench_push_crossover`` (youtube stand-in, n = 12,000, 2 vCPU,
+#: pooled/serial medians of 5, three runs): 8- and 32-push batches won
+#: from 12 per node in two runs (0.44–0.83×) but lost up to 1.58× at
+#: 23–35 per node in the third, while the host's speed flipped; from
+#: 80 per node every one won (0.41–0.60×).  2-push batches read
+#: 0.60–1.90× below 40 per node and 0.90–1.03× at 83–87.  The
+#: constant sits above every loss seen.
+PUSH_POOL_MIN_WORK_PER_NODE = 60.0
+
+#: Mean edge traversals per push below which a batch stays serial on
+#: any graph: a round trip through a worker's pipe costs a fixed
+#: ~0.2–0.3 ms, about 40,000 edge traversals, which only a push several
+#: times that size earns back on half the batch.
+PUSH_POOL_MIN_WORK = 200_000
+
+
+def push_pool_size(workers: int | None, batch: int, mean_work: float,
+                   num_nodes: int) -> int:
+    """Pool workers a batch of ``batch`` pushes runs on; ``1`` means
+    serially in the caller.
+
+    ``mean_work`` is the expected :attr:`~repro.push.forward.PushResult.work`
+    of one push (edge traversals, a machine-independent count).  The
+    pool is used only when ``mean_work`` reaches both
+    :data:`PUSH_POOL_MIN_WORK` and :data:`PUSH_POOL_MIN_WORK_PER_NODE`
+    per node, and it never exceeds the request, the usable CPUs or the
+    batch.
+    """
+    requested = resolve_workers(workers)
+    if (mean_work < max(PUSH_POOL_MIN_WORK,
+                        PUSH_POOL_MIN_WORK_PER_NODE * num_nodes)
+            or not can_fork()):
+        return 1
+    return max(min(requested, usable_cpus(), batch), 1)
+
+
+def _push_task(graph: Graph, task: tuple):
+    """One push of a batch, timed where it runs: ``(push, seconds)``.
+
+    ``task`` is ``(kind, node, alpha, r_max)``; a ``"source"`` push is
+    the balanced forward push, anything else the backward push.
+    """
+    kind, node, alpha, r_max = task
+    push_fn = balanced_forward_push if kind == "source" else backward_push
+    started = time.perf_counter()
+    push = push_fn(graph, node, alpha, r_max)
+    return push, time.perf_counter() - started
+
+
+_POOLS_LOCK = threading.Lock()
+#: ``id(graph)`` → ``(pool, owner tokens)``: at most one push pool per
+#: graph (the pool holds the graph, so the id cannot be reused)
+_PUSH_POOLS: dict[int, tuple[ForkPool, set[int]]] = {}
+_OWNER_TOKENS = itertools.count()
+
+
+def _acquire_push_pool(graph: Graph, token: int) -> ForkPool:
+    with _POOLS_LOCK:
+        pool, owners = _PUSH_POOLS.get(id(graph), (None, set()))
+        if pool is None or pool.closed:
+            pool = ForkPool(functools.partial(_push_task, graph))
+        owners.add(token)
+        _PUSH_POOLS[id(graph)] = (pool, owners)
+        return pool
+
+
+def _release_push_pool(key: int, token: int) -> None:
+    """Drop one owner; the last one out stops the pool."""
+    with _POOLS_LOCK:
+        pool, owners = _PUSH_POOLS.get(key, (None, set()))
+        if token not in owners:
+            return
+        owners.discard(token)
+        if owners:
+            return
+        del _PUSH_POOLS[key]
+    pool.close()
 
 
 def normalize_seed_set(seeds, weights, num_nodes: int) -> tuple[tuple[int, ...],
@@ -118,7 +220,9 @@ class _BatchSolverBase:
         self._closed = False
         self._queries_served = 0
         self._push_work = 0
+        self._push_edges = 0
         self._lock = threading.Lock()
+        self._pool_release: weakref.finalize | None = None
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -131,12 +235,15 @@ class _BatchSolverBase:
 
         Idempotent.  An owned bank is freed with the last reference; an
         injected ``index=`` stays valid for every other solver
-        borrowing it.
+        borrowing it.  The push pool stops unless another open solver
+        on the same graph still uses it.
         """
         if self._closed:
             return
         self._closed = True
         self.index = None  # type: ignore[assignment]
+        if self._pool_release is not None:
+            self._pool_release()
 
     def __enter__(self):
         return self
@@ -186,6 +293,44 @@ class _BatchSolverBase:
         with self._lock:
             self._queries_served += 1
             self._push_work += int(push.num_pushes)
+            self._push_edges += int(push.work)
+
+    def _push_pool(self) -> ForkPool:
+        """The graph's shared push pool, this solver registered as an
+        owner until :meth:`close` or its collection."""
+        with self._lock:
+            if self._pool_release is None:
+                self._pool_token = next(_OWNER_TOKENS)
+                self._pool_release = weakref.finalize(
+                    self, _release_push_pool, id(self.graph),
+                    self._pool_token)
+        return _acquire_push_pool(self.graph, self._pool_token)
+
+    def _push_all(self, kind: str, nodes: list[int],
+                  r_max: float) -> list[tuple]:
+        """Every push of a batch, ``(push, seconds)`` in node order.
+
+        The size decision (:func:`push_pool_size`) reads the mean work
+        of this solver's earlier pushes; before its first query, the
+        batch's first push runs here and stands in for them.  Where a
+        push runs changes nothing in its result.
+        """
+        tasks = [(kind, node, self.config.alpha, r_max) for node in nodes]
+        done = []
+        with self._lock:
+            served, edges = self._queries_served, self._push_edges
+        if not served:
+            done.append(_push_task(self.graph, tasks[0]))
+            served, edges = 1, done[0][0].work
+        rest = tasks[len(done):]
+        processes = push_pool_size(self.config.workers, len(rest),
+                                   edges / served, self.graph.num_nodes)
+        if processes > 1:
+            try:
+                return done + self._push_pool().map(rest, processes)
+            except PoolBroken:
+                pass  # no worker, or one died: push the batch here
+        return done + [_push_task(self.graph, task) for task in rest]
 
     @property
     def num_forests(self) -> int:
@@ -224,7 +369,7 @@ class _BatchSolverBase:
         stats.update(work.as_stats())
         return stats
 
-    def _run_batch(self, nodes, label: str, push_fn, r_max: float,
+    def _run_batch(self, nodes, label: str, r_max: float,
                    estimate_many, kind: str, method: str):
         """Shared push-then-batched-fold body of both ``query_many``."""
         self._check_open()
@@ -234,12 +379,7 @@ class _BatchSolverBase:
                 raise ConfigError(f"{label} {node} out of range")
         if not nodes:
             return []
-        pushes = []
-        push_seconds = []
-        for node in nodes:
-            t0 = time.perf_counter()
-            pushes.append(push_fn(node))
-            push_seconds.append(time.perf_counter() - t0)
+        pushes, push_seconds = zip(*self._push_all(kind, nodes, r_max))
         t1 = time.perf_counter()
         residuals = np.stack([push.residual for push in pushes])
         mc = estimate_many(residuals, improved=self._improved)
@@ -307,11 +447,8 @@ class BatchSourceSolver(_BatchSolverBase):
         """
         r_max = self.config.r_max or self._default_r_max()
         return self._run_batch(
-            sources, "source",
-            lambda node: balanced_forward_push(
-                self.graph, node, self.config.alpha, r_max),
-            r_max, self.index.estimate_source_many, "source",
-            "batch-source")
+            sources, "source", r_max, self.index.estimate_source_many,
+            "source", "batch-source")
 
 
 class BatchTargetSolver(_BatchSolverBase):
@@ -329,11 +466,8 @@ class BatchTargetSolver(_BatchSolverBase):
         """Micro-batch of single-target queries in one estimator fold."""
         r_max = self._target_r_max()
         return self._run_batch(
-            targets, "target",
-            lambda node: backward_push(
-                self.graph, node, self.config.alpha, r_max),
-            r_max, self.index.estimate_target_many, "target",
-            "batch-target")
+            targets, "target", r_max, self.index.estimate_target_many,
+            "target", "batch-target")
 
 
 class BatchMultiSeedSolver(BatchSourceSolver):
@@ -422,13 +556,8 @@ class BatchPairSolver(_BatchSolverBase):
         if not pairs:
             return []
         r_max = self._target_r_max()
-        pushes = []
-        push_seconds = []
-        for _, target in pairs:
-            t0 = time.perf_counter()
-            pushes.append(backward_push(
-                self.graph, target, self.config.alpha, r_max))
-            push_seconds.append(time.perf_counter() - t0)
+        pushes, push_seconds = zip(*self._push_all(
+            "target", [target for _, target in pairs], r_max))
         t1 = time.perf_counter()
         residuals = np.stack([push.residual for push in pushes])
         entries = np.array([source for source, _ in pairs], dtype=np.int64)

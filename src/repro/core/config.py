@@ -66,12 +66,16 @@ class PPRConfig:
     ``failure_probability`` default to ``1/n`` at resolution time
     (they need the graph size, see :meth:`resolve`).
 
-    ``workers`` sets the process count for the chunked forest
-    Monte-Carlo stage (:mod:`repro.parallel.engine`): ``1`` runs
-    serially, ``0``/``None`` uses the cpu count.  For a fixed ``seed``
-    the estimates are bit-identical for every ``workers`` value.  A
-    forest *index* built with ``workers=1`` is the exception: it draws
-    one serial stream instead of the engine's chunk streams (see
+    ``workers`` caps the processes of two fan-outs: the chunked forest
+    Monte-Carlo stage (:mod:`repro.parallel.engine`) and a batch
+    solver's pushes (:mod:`repro.core.batch`, on a persistent fork
+    pool).  ``1`` runs both serially; ``0``/``None`` (the default) uses
+    the CPUs the process may run on.  Either fan-out stays serial when
+    its work is below a measured crossover, so a small call never pays
+    for a pool.  For a fixed ``seed`` the estimates are bit-identical
+    for every ``workers`` value.  A forest *index* built with
+    ``workers=1`` is the exception: it draws one serial stream instead
+    of the engine's chunk streams (see
     :meth:`~repro.montecarlo.forest_index.ForestIndex.build`).
 
     ``variance_mode`` picks the variance-reduction machinery of the
@@ -94,7 +98,7 @@ class PPRConfig:
     max_forests: int = 100_000
     max_walks: int = 50_000_000
     seed: int | None = None
-    workers: int | None = 1
+    workers: int | None = None
     variance_mode: str = "improved"
 
     def __post_init__(self):

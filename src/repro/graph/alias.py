@@ -35,7 +35,12 @@ class AliasTable:
     """
 
     def __init__(self, graph):
-        self._graph = graph
+        # the CSR arrays the draws read, not the graph: the graph caches
+        # its table, and a table → graph reference would make a cycle
+        # that only the cyclic collector could free
+        self._indptr = graph.indptr
+        self._indices = graph.indices
+        self._out_degrees = graph.out_degrees
         self.probability = np.ones(graph.num_arcs)
         self.alias = np.arange(graph.num_arcs, dtype=np.int64)
         if graph.is_weighted:
@@ -87,8 +92,7 @@ class AliasTable:
             kernels that draw randomness in blocks.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        graph = self._graph
-        out_degrees = graph.out_degrees[nodes]
+        out_degrees = self._out_degrees[nodes]
         if np.any(out_degrees == 0):
             raise GraphError("cannot sample a neighbour of an isolated node")
         if uniforms is None:
@@ -97,18 +101,17 @@ class AliasTable:
             accept = generator.random(nodes.size)
         else:
             pick, accept = uniforms
-        slots = graph.indptr[nodes] + (pick * out_degrees).astype(np.int64)
+        slots = self._indptr[nodes] + (pick * out_degrees).astype(np.int64)
         rejected = accept >= self.probability[slots]
         slots[rejected] = self.alias[slots[rejected]]
-        return graph.indices[slots]
+        return self._indices[slots]
 
     def expected_distribution(self, node: int) -> np.ndarray:
         """Exact per-neighbour probabilities encoded by the table.
 
         Used in tests to confirm the table reproduces ``w_uv / d_u``.
         """
-        graph = self._graph
-        lo, hi = int(graph.indptr[node]), int(graph.indptr[node + 1])
+        lo, hi = int(self._indptr[node]), int(self._indptr[node + 1])
         count = hi - lo
         result = np.zeros(count)
         for j in range(count):

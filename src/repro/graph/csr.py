@@ -139,6 +139,12 @@ class Graph:
         return running[self.indptr[1:]] - running[self.indptr[:-1]]
 
     @cached_property
+    def has_dangling(self) -> bool:
+        """Whether some node has no out-edge (cached); the push drivers
+        skip their absorbing-node split when none does."""
+        return bool((self.out_degrees == 0).any())
+
+    @cached_property
     def total_weight(self) -> float:
         """Sum of ``d_u`` over all nodes (``2m`` for unweighted undirected)."""
         return float(self.degrees.sum())

@@ -1,7 +1,9 @@
 """Multi-process execution of the forest-sampling Monte-Carlo stage.
 
 See :mod:`repro.parallel.engine` for the chunked engine and its
-determinism contract, :mod:`repro.parallel.shared_bank` for the
+determinism contract, :mod:`repro.parallel.pool` for the persistent
+fork pool a batch solver's pushes run on,
+:mod:`repro.parallel.shared_bank` for the
 general named-array shared-memory / memmap carriers, and
 :mod:`repro.parallel.shared_graph` for a graph's arrays in them.
 """
@@ -11,9 +13,12 @@ from repro.parallel.engine import (
     StageResult,
     parallel_estimate_stage,
     plan_chunks,
+    pool_size,
     resolve_workers,
     sample_forests_parallel,
+    usable_cpus,
 )
+from repro.parallel.pool import ForkPool
 from repro.parallel.shared_bank import (
     AttachedBank,
     BankHandle,
@@ -28,6 +33,7 @@ __all__ = [
     "AttachedBank",
     "BankHandle",
     "DEFAULT_CHUNK_SIZE",
+    "ForkPool",
     "SharedArrayBank",
     "StageResult",
     "attach_bank",
@@ -35,7 +41,9 @@ __all__ = [
     "load_array_bank",
     "parallel_estimate_stage",
     "plan_chunks",
+    "pool_size",
     "resolve_workers",
     "sample_forests_parallel",
     "save_array_bank",
+    "usable_cpus",
 ]

@@ -19,10 +19,21 @@ A fixed seed yields **bit-identical** results for any worker count:
 - per-chunk accumulators are merged in chunk-index order, fixing the
   floating-point summation order.
 
-The serial path (``workers=1``, or platforms without the ``fork``
-start method, or a single-chunk plan) executes the identical per-chunk
+The serial path (``workers=1``, platforms without the ``fork`` start
+method, a daemonic process, which may not fork, a single-chunk plan,
+or a job below :data:`MIN_POOL_FOREST_NODES`) executes the identical per-chunk
 closures in-process, so ``workers=1`` *is* the fallback, not a second
 code path.
+
+Never slower than serial
+------------------------
+A pool is forked per call, and forking, shipping the chunks back and
+merging them costs a roughly fixed price that a small job does not
+earn back.  :func:`pool_size` therefore caps the pool at the CPUs this
+process may run on (workers beyond them only contend) and runs a job
+serially when its forests × nodes, the work model of one sampling
+chunk, is below :data:`MIN_POOL_FOREST_NODES`.  Both rules change only
+where the chunks run, so the determinism contract is untouched.
 """
 
 from __future__ import annotations
@@ -40,11 +51,13 @@ from repro.forests.estimators import accumulate_estimates
 from repro.forests.forest import RootedForest
 from repro.forests.sampling import sample_forests
 from repro.graph.csr import Graph
+from repro.parallel.pool import can_fork
 from repro.rng import spawn_children
 
-__all__ = ["plan_chunks", "resolve_workers", "sample_forests_parallel",
-           "parallel_estimate_stage", "StageResult", "DEFAULT_CHUNK_SIZE",
-           "STRATIFIED_CHUNK_SIZE"]
+__all__ = ["plan_chunks", "resolve_workers", "usable_cpus", "pool_size",
+           "sample_forests_parallel", "parallel_estimate_stage",
+           "StageResult", "DEFAULT_CHUNK_SIZE", "STRATIFIED_CHUNK_SIZE",
+           "MIN_POOL_FOREST_NODES"]
 
 #: Forests per chunk when the caller does not override it.  Small
 #: enough that ω ≥ 32 already load-balances over 4 workers, large
@@ -58,6 +71,13 @@ DEFAULT_CHUNK_SIZE = 8
 #: most of the asymptotic gain while still splitting ω ≥ 128 across
 #: four workers.
 STRATIFIED_CHUNK_SIZE = 32
+
+#: Forests × nodes below which a job runs serially whatever ``workers``
+#: asks for.  ``bench_engine_crossover`` (Chung–Lu graphs, α 0.1,
+#: 2 vCPU, pooled/serial medians of 5): 2.99× at 64k (4,000 × 16),
+#: 1.89× at 256k, 1.23–1.81× at 384k, 0.83–1.22× at 640k, 0.90–0.98×
+#: at 768k, 0.89–1.06× at 1.28M and 0.79× at 3.84M.
+MIN_POOL_FOREST_NODES = 1_000_000
 
 
 def plan_chunks(count: int, chunk_size: int | None = None) -> list[int]:
@@ -76,17 +96,36 @@ def plan_chunks(count: int, chunk_size: int | None = None) -> list[int]:
     return [size] * full + ([rest] if rest else [])
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the
+    platform has one, else the cpu count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(len(os.sched_getaffinity(0)), 1)
+    return max(os.cpu_count() or 1, 1)
+
+
 def resolve_workers(workers: int | None) -> int:
-    """Normalise a worker-count request (``None``/``0`` → cpu count)."""
+    """Normalise a worker-count request (``None``/``0`` → usable CPUs)."""
     if workers is None or workers == 0:
-        return max(os.cpu_count() or 1, 1)
+        return usable_cpus()
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ConfigError(f"workers must be a positive int, got {workers!r}")
     return int(workers)
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
+def pool_size(workers: int | None, num_chunks: int,
+              forest_nodes: int) -> int:
+    """Processes a job of ``num_chunks`` chunks and ``forest_nodes``
+    forests × nodes runs on; ``1`` means serially in the caller.
+
+    The pool never exceeds the request, the chunk count or
+    :func:`usable_cpus`, and a job below
+    :data:`MIN_POOL_FOREST_NODES` stays serial.
+    """
+    requested = resolve_workers(workers)
+    if forest_nodes < MIN_POOL_FOREST_NODES or not can_fork():
+        return 1
+    return max(min(requested, num_chunks, usable_cpus()), 1)
 
 
 @dataclass
@@ -163,17 +202,19 @@ def _run_estimate_chunk(task) -> tuple[np.ndarray, np.ndarray | None,
 
 
 def _run_chunked(graph: Graph, ctx: dict, runner, tasks: list,
-                 workers: int) -> tuple[list, int]:
+                 workers: int | None) -> tuple[list, int]:
     """Run ``runner`` over ``tasks``, in a pool or serially.
 
-    Returns ``(results_in_task_order, workers_used)``.  Forked pool
-    workers inherit ``initargs`` (the graph included) instead of
-    unpickling them; the serial path runs the identical closures
-    in-process, so both produce the same results bit for bit.
+    Returns ``(results_in_task_order, workers_used)``; the pool's size
+    is :func:`pool_size`'s.  Forked pool workers inherit ``initargs``
+    (the graph included) instead of unpickling them; the serial path
+    runs the identical closures in-process, so both produce the same
+    results bit for bit.
     """
-    effective = min(workers, len(tasks))
+    forests = sum(count for count, _ in tasks)
+    effective = pool_size(workers, len(tasks), forests * graph.num_nodes)
     worker_ctx = dict(ctx, graph=graph)
-    if effective <= 1 or not _fork_available():
+    if effective <= 1:
         _init_worker(worker_ctx)
         try:
             return [runner(task) for task in tasks], 1
@@ -208,7 +249,8 @@ def sample_forests_parallel(graph: Graph, alpha: float, count: int,
     Parameters
     ----------
     workers:
-        Worker processes (``None``/``0`` → cpu count, ``1`` → serial).
+        Worker processes (``None``/``0`` → usable CPUs, ``1`` →
+        serial); capped and sent serial as :func:`pool_size` says.
     batch:
         Use the layered batch sampler
         (:func:`~repro.forests.batch_sampling.sample_forests_batch`)
@@ -233,8 +275,7 @@ def sample_forests_parallel(graph: Graph, alpha: float, count: int,
         chunk_size = STRATIFIED_CHUNK_SIZE
     tasks = _tasks_for(count, rng, chunk_size)
     ctx = {"alpha": alpha, "batch": batch, "stratified": stratified}
-    results, _ = _run_chunked(graph, ctx, _run_sample_chunk, tasks,
-                              resolve_workers(workers))
+    results, _ = _run_chunked(graph, ctx, _run_sample_chunk, tasks, workers)
     forests: list[RootedForest] = []
     for chunk in results:
         forests.extend(chunk)
@@ -286,7 +327,7 @@ def parallel_estimate_stage(graph: Graph, alpha: float, count: int,
            "degrees": graph.degrees, "track_squares": track_squares,
            "variance_mode": variance_mode}
     results, used = _run_chunked(graph, ctx, _run_estimate_chunk, tasks,
-                                 resolve_workers(workers))
+                                 workers)
     sums = np.zeros(graph.num_nodes)
     squares = np.zeros(graph.num_nodes) if track_squares else None
     drawn = 0

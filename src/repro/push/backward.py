@@ -68,6 +68,7 @@ def backward_push(graph: Graph, target: int, alpha: float, r_max: float,
     reserve = np.zeros(n)
     residual = np.zeros(n)
     residual[target] = 1.0
+    has_dangling = graph.has_dangling
 
     pushes = 0
     work = 0
@@ -81,13 +82,17 @@ def backward_push(graph: Graph, target: int, alpha: float, r_max: float,
                 f"backward push exceeded max_pushes={max_pushes}")
         pushes += int(frontier.size)
         frontier_sizes.append(int(frontier.size))
-        mass = residual[frontier].copy()
+        mass = residual[frontier]
         residual[frontier] = 0.0
-        # dangling node: absorbing self-loop summed in closed form
-        dangling = degrees[frontier] == 0
-        reserve[frontier] += np.where(dangling, mass, alpha * mass)
-        spread = np.where(dangling, (1.0 - alpha) / alpha * mass,
-                          (1.0 - alpha) * mass)
+        if has_dangling:
+            # dangling node: absorbing self-loop summed in closed form
+            dangling = degrees[frontier] == 0
+            reserve[frontier] += np.where(dangling, mass, alpha * mass)
+            spread = np.where(dangling, (1.0 - alpha) / alpha * mass,
+                              (1.0 - alpha) * mass)
+        else:
+            reserve[frontier] += alpha * mass
+            spread = (1.0 - alpha) * mass
         work += backward_scatter(graph, frontier, spread, residual)
     return PushResult(reserve=reserve, residual=residual,
                       num_pushes=pushes, work=work,

@@ -94,17 +94,21 @@ def _forward_push_impl(graph: Graph, source: int, alpha: float,
     residual = np.zeros(n)
     residual[source] = 1.0
 
-    # threshold per node: r_max (balanced) or d_u * r_max (classic);
-    # a dangling node's classic threshold is 0, so the `residual > 0`
-    # clause keeps already-absorbed nodes out of the frontier
-    thresholds = np.full(n, r_max) if balanced else degrees * r_max
+    # classic threshold d_u * r_max: a dangling node's is 0, so the
+    # `residual > 0` clause keeps already-absorbed nodes out of the
+    # frontier; the balanced threshold r_max > 0 already implies it
+    thresholds = None if balanced else degrees * r_max
+    has_dangling = graph.has_dangling
 
     pushes = 0
     work = 0
     frontier_sizes: list[int] = []
     while True:
-        frontier = np.flatnonzero((residual >= thresholds)
-                                  & (residual > 0.0))
+        if balanced:
+            frontier = np.flatnonzero(residual >= r_max)
+        else:
+            frontier = np.flatnonzero((residual >= thresholds)
+                                      & (residual > 0.0))
         if frontier.size == 0:
             break
         if pushes + frontier.size > max_pushes:
@@ -113,15 +117,16 @@ def _forward_push_impl(graph: Graph, source: int, alpha: float,
                 f"raise the limit or increase r_max")
         pushes += int(frontier.size)
         frontier_sizes.append(int(frontier.size))
-        mass = residual[frontier].copy()
+        mass = residual[frontier]
         residual[frontier] = 0.0
-        dangling = degrees[frontier] == 0
-        if dangling.any():
-            # absorbing node: the walk ends here
-            reserve[frontier[dangling]] += mass[dangling]
-        pushable = frontier[~dangling]
+        pushable, push_mass = frontier, mass
+        if has_dangling:
+            dangling = degrees[frontier] == 0
+            if dangling.any():
+                # absorbing node: the walk ends here
+                reserve[frontier[dangling]] += mass[dangling]
+            pushable, push_mass = frontier[~dangling], mass[~dangling]
         if pushable.size:
-            push_mass = mass[~dangling]
             reserve[pushable] += alpha * push_mass
             work += forward_scatter(graph, pushable, push_mass, alpha,
                                     residual)

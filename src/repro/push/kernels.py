@@ -36,8 +36,9 @@ def frontier_edges(indptr: np.ndarray, frontier: np.ndarray,
                    counts: np.ndarray) -> np.ndarray:
     """Flat CSR edge positions of the frontier's rows, in frontier order.
 
-    ``counts`` must equal ``indptr[frontier + 1] - indptr[frontier]``
-    (passed in because every caller already has it).  The result
+    ``counts`` must equal ``indptr[frontier + 1] - indptr[frontier]``,
+    the frontier's row lengths (passed in because every caller already
+    has them, from the graph's cached ``out_degrees``).  The result
     concatenates each row's ``arange(indptr[u], indptr[u+1])`` so that
     gathered edge arrays line up with ``np.repeat(..., counts)``.
     """
@@ -61,7 +62,7 @@ def forward_scatter(graph: Graph, frontier: np.ndarray, mass: np.ndarray,
     """
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
     degrees = graph.degrees
-    counts = indptr[frontier + 1] - indptr[frontier]
+    counts = graph.out_degrees[frontier]
     edges = frontier_edges(indptr, frontier, counts)
     targets = indices[edges]
     if weights is None:
@@ -106,7 +107,7 @@ def backward_scatter(graph: Graph, frontier: np.ndarray, spread: np.ndarray,
     """
     reverse = graph.reverse()
     indptr, weights = reverse.indptr, reverse.weights
-    counts = indptr[frontier + 1] - indptr[frontier]
+    counts = reverse.out_degrees[frontier]
     total = int(counts.sum())
     if total >= DENSE_SHARE * reverse.num_arcs:
         arcs = slice(None)

@@ -35,6 +35,8 @@ class ServiceConfig:
         seed gives is the same for every ``workers`` other than 1;
         ``workers=1`` samples serially and gives a different one (see
         :meth:`~repro.montecarlo.forest_index.ForestIndex.build`).
+        It never fans out a solver's pushes: served solvers push
+        serially (:meth:`~repro.service.index_manager.IndexManager.solver_config`).
     executor:
         ``"thread"`` folds batches in-process on the scheduler
         threads; ``"process"`` dispatches them to a pool of

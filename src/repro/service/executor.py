@@ -50,7 +50,6 @@ import multiprocessing
 import os
 import threading
 import time
-import weakref
 from collections import deque
 from multiprocessing import connection
 
@@ -66,21 +65,13 @@ from repro.core.config import PPRConfig
 from repro.exceptions import ReproError
 from repro.montecarlo.forest_index import ForestIndex
 from repro.obs.tracing import Span
+from repro.parallel.pool import PARENT_ENDS, SPAWN_LOCK
 from repro.parallel.shared_bank import BankHandle, attach_bank
 from repro.parallel.shared_graph import graph_from_bank
 from repro.service.index_manager import IndexManager, SOLVER_CLASSES
 
 __all__ = ["ProcessExecutor", "ExecutorError"]
 
-#: Every parent-side pipe end this process holds, across all pools.  A
-#: forked worker inherits copies of them all — its own pipe's parent
-#: end included — and closes them first thing: a worker's ``recv`` can
-#: only see EOF when the parent dies (however it dies) if no other
-#: process still holds that parent end.  The lock spans pipe creation
-#: and fork, so no worker is forked between a pipe's birth and its
-#: registration here.
-_PARENT_ENDS: weakref.WeakSet = weakref.WeakSet()
-_SPAWN_LOCK = threading.Lock()
 
 
 def _normalize_items(kind: str, items) -> tuple:
@@ -251,7 +242,7 @@ def _worker_main(conn, inherited=()) -> None:
 
     ``inherited`` are the parent-side pipe ends forked into this
     worker; they are closed before anything else (see
-    :data:`_PARENT_ENDS`).
+    :data:`~repro.parallel.pool.PARENT_ENDS`).
 
     Replies are ``(task_id, "done"|"error", payload, extra)`` where
     ``extra`` carries worker-side observability: the fold wall time
@@ -401,12 +392,12 @@ class ProcessExecutor:
 
     def _spawn(self, worker_id: int) -> None:
         """Fork one worker on a fresh pipe pair (caller holds no locks)."""
-        with _SPAWN_LOCK:
+        with SPAWN_LOCK:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            _PARENT_ENDS.add(parent_conn)
+            PARENT_ENDS.add(parent_conn)
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn, list(_PARENT_ENDS)),
+                args=(child_conn, list(PARENT_ENDS)),
                 name=f"ppr-exec-worker-{worker_id}", daemon=True)
             process.start()
             # the worker's end lives in the worker only
@@ -502,8 +493,7 @@ class ProcessExecutor:
         view = self.index_manager.shared_view(graph, alpha,
                                               shard=self.shard)
         try:
-            config = self.index_manager.config.with_overrides(
-                alpha=alpha, epsilon=epsilon)
+            config = self.index_manager.solver_config(alpha, epsilon)
             task = _Task(next(self._task_ids), view.graph_handle,
                          view.index_handle, config, kind,
                          _normalize_items(kind, nodes),

@@ -147,7 +147,11 @@ class IndexManager:
     config:
         Baseline :class:`~repro.core.config.PPRConfig`; per-request ε
         overrides it at solver-build time, everything else (seed,
-        budget scale, build workers) comes from here.
+        budget scale, build workers) comes from here.  ``workers``
+        picks the bank's draw as in :meth:`ForestIndex.build`, except
+        that the default ``None`` draws the serial stream
+        (``workers=1``), the bank this default has always drawn; pass
+        ``0`` for the chunked draw on every CPU.
     num_forests:
         Bank size; defaults to
         :meth:`ForestIndex.recommended_size` for the baseline ε.
@@ -202,6 +206,8 @@ class IndexManager:
         self._shard_maps: dict[str, ShardMap] = {}
         self._lock = threading.RLock()
         self._builds = 0
+        self._build_workers = (1 if self.config.workers is None
+                               else self.config.workers)
 
     # -- graph registry ------------------------------------------------
     def register_graph(self, name: str, graph: Graph) -> None:
@@ -259,7 +265,7 @@ class IndexManager:
             index = DynamicForestIndex.build(graph, alpha, size, rng=seed)
         else:
             index = ForestIndex.build(graph, alpha, size, rng=seed,
-                                      workers=self.config.workers,
+                                      workers=self._build_workers,
                                       variance_mode=self.config.variance_mode)
         # fold-ready before any caller can publish it (a no-op for an
         # attached bank, whose arrays are the operators)
@@ -390,7 +396,7 @@ class IndexManager:
                 with span.child("rebuild"):
                     index = ForestIndex.build(
                         new_graph, alpha, entry.index.num_forests, rng=seed,
-                        workers=self.config.workers,
+                        workers=self._build_workers,
                         variance_mode=entry.index.variance_mode)
                 counters.merge(index.build_counters)
                 repaired_flags[key] = False
@@ -536,6 +542,17 @@ class IndexManager:
             bank.close()
 
     # -- solvers -------------------------------------------------------
+    def solver_config(self, alpha: float, epsilon: float) -> PPRConfig:
+        """The config a served solver answers ``(α, ε)`` under.
+
+        Its pushes always run serially (``workers=1``): the service
+        parallelises across requests (flush threads, executor workers,
+        shards), and a push pool per solver would only contend with
+        them.  ``workers`` still sizes the bank build.
+        """
+        return self.config.with_overrides(alpha=alpha, epsilon=epsilon,
+                                          workers=1)
+
     def get_solver(self, name: str, kind: str, alpha: float | None = None,
                    epsilon: float | None = None):
         """A batch solver for ``(name, α, ε, kind)`` borrowing the bank.
@@ -558,7 +575,7 @@ class IndexManager:
             if solver is not None:
                 return solver
         cls = SOLVER_CLASSES[kind]
-        config = self.config.with_overrides(alpha=alpha, epsilon=epsilon)
+        config = self.solver_config(alpha, epsilon)
         if kind == "topk":
             solver = cls(self.graph(name), config=config)
         else:

@@ -1,5 +1,8 @@
 """Alias-table correctness: exact encoded distribution + sampling."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,3 +84,21 @@ class TestRandomWeightedGraphs:
             want = graph.edge_weights_of(node) / graph.degree(node)
             assert np.allclose(table.expected_distribution(node), want,
                                atol=1e-9)
+
+
+class TestLifetime:
+    def test_graph_with_cached_table_freed_without_cyclic_collector(self):
+        # the graph caches its table; a table that held the graph back
+        # would make a cycle only the cyclic collector frees
+        graph = with_random_weights(erdos_renyi(50, 0.1, rng=3), rng=3)
+        table = weakref.ref(graph.alias_table)
+        degrees = weakref.ref(graph.degrees)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del graph
+            assert table() is None
+            assert degrees() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -4,7 +4,10 @@ The load-bearing property is the determinism contract: at a fixed seed
 the engine's output is **bit-identical** for every worker count, so
 ``workers`` is a pure throughput knob.  The equivalence tests exercise
 the real fork-pool path (workers > 1 with a multi-chunk plan) against
-the serial path on a 2k-node Chung–Lu graph.
+the serial path on a 2k-node Chung–Lu graph; that graph's jobs are below
+the engine's serial crossover, so those tests lower it to zero and
+widen the CPU cap (``pool_forced``).  ``TestPoolSize`` pins the rule
+itself with forest × node counts.
 """
 
 import multiprocessing
@@ -20,6 +23,7 @@ from repro.graph.generators import chung_lu
 from repro.parallel import (
     DEFAULT_CHUNK_SIZE,
     StageResult,
+    engine,
     parallel_estimate_stage,
     plan_chunks,
     resolve_workers,
@@ -38,6 +42,13 @@ fork_only = pytest.mark.skipif(
 def graph():
     degrees = 1.5 + 6.0 * (np.arange(2000, dtype=np.float64) % 53) / 52.0
     return chung_lu(degrees, rng=SEED)
+
+
+@pytest.fixture
+def pool_forced(monkeypatch):
+    """Send every multi-chunk job to the pool, on any host."""
+    monkeypatch.setattr(engine, "MIN_POOL_FOREST_NODES", 0)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 8)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +96,44 @@ class TestResolveWorkers:
             resolve_workers(1.5)
 
 
+class TestPoolSize:
+    """The never-slower-than-serial rule, on forest × node counts."""
+
+    def test_below_crossover_runs_serially(self):
+        below = engine.MIN_POOL_FOREST_NODES - 1
+        assert engine.pool_size(4, 8, below) == 1
+        assert engine.pool_size(None, 8, below) == 1
+
+    def test_above_crossover_capped_by_cpus_chunks_request(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        at = engine.MIN_POOL_FOREST_NODES
+        if "fork" not in multiprocessing.get_all_start_methods():
+            assert engine.pool_size(4, 8, at) == 1
+            return
+        assert engine.pool_size(4, 8, at) == 2      # usable CPUs
+        assert engine.pool_size(None, 8, at) == 2   # None → usable CPUs
+        assert engine.pool_size(4, 1, at) == 1      # one chunk
+        assert engine.pool_size(1, 8, at) == 1      # serial request
+
+    def test_gate_jobs_run_serially(self, graph):
+        # 16 forests on 4,000 nodes (the work-budget gate) and 20 on
+        # this 2k-node graph are far below the crossover
+        assert engine.pool_size(4, 2, 16 * 4_000) == 1
+        assert 20 * graph.num_nodes < engine.MIN_POOL_FOREST_NODES
+
+    def test_stage_reports_serial_below_crossover(self, graph, residual):
+        stage = parallel_estimate_stage(graph, ALPHA, 20, residual,
+                                        kind="source", improved=True,
+                                        rng=SEED, workers=4)
+        assert stage.workers_used == 1
+
+    def test_rejects_bad_workers_below_crossover(self):
+        with pytest.raises(ConfigError):
+            engine.pool_size(-2, 8, 1)
+
+
+@pytest.mark.usefixtures("pool_forced")
 class TestSampleForestsParallel:
     @fork_only
     @pytest.mark.parametrize("workers", [2, 4])
@@ -116,6 +165,7 @@ class TestSampleForestsParallel:
             forest.validate()
 
 
+@pytest.mark.usefixtures("pool_forced")
 class TestParallelEstimateStage:
     @fork_only
     @pytest.mark.parametrize("kind,improved", [
@@ -177,6 +227,7 @@ class TestParallelEstimateStage:
 
 
 @fork_only
+@pytest.mark.usefixtures("pool_forced")
 class TestQueryWorkerInvariance:
     """End-to-end: full queries are bit-identical across worker counts."""
 
